@@ -24,6 +24,7 @@ import time
 from typing import List, Optional
 
 from .figures import FIGURES, figure_ids, run_figure
+from .modes import add_mode_arguments, parse_modes
 from .runner import DEFAULT_CACHE_DIR, run_sweep
 
 __all__ = ["main"]
@@ -106,36 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="traces",
         help="directory for --trace recordings (default: traces)",
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        metavar="N",
-        default=1,
-        help="split each shardable cell across N worker processes with the "
-             "conservative sharded engine (default: 1 = single-process); "
-             "each cell then uses N processes, so budget jobs*shards "
-             "against the core count",
-    )
-    parser.add_argument(
-        "--schedule",
-        metavar="SPEC",
-        help="drive every schedule-capable cell's dynamic link from a "
-             "virtual-time schedule: kind[:key=value,...] with kind one "
-             "of leo/csv — e.g. 'leo:period=2.0,count=3,outage=0.05,"
-             "amp=0.5,dip=0.6' (synthesized handovers) or "
-             "'csv:path=traces/starlink.csv' (rows "
-             "t_s,delay_s[,bandwidth_bps[,up]])",
-    )
-    parser.add_argument(
-        "--fidelity",
-        choices=("packet", "hybrid"),
-        default="packet",
-        help="engine fidelity for fluid-capable cells: 'packet' (default, "
-             "bit-exact golden behaviour) or 'hybrid' (steady-state bulk "
-             "flows advance in a coarse-stepped fluid model and fall back "
-             "to packet level around loss, startup, tail and impairments; "
-             "statistically equivalent, far fewer engine events)",
-    )
+    add_mode_arguments(parser)
     return parser
 
 
@@ -182,47 +154,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         if figure_id not in FIGURES:
             print(f"unknown figure {figure_id!r}; use --list", file=sys.stderr)
             return 2
-    if args.profile_engine and args.trace:
-        print("--trace cannot be combined with --profile-engine "
-              "(the profiled path bypasses the cell sweep)", file=sys.stderr)
+    try:
+        modes = parse_modes(args)
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
         return 2
-    if args.shards < 1:
-        print(f"--shards must be >= 1: {args.shards}", file=sys.stderr)
-        return 2
-    if args.profile_engine and args.shards != 1:
-        print("--shards cannot be combined with --profile-engine "
-              "(the profiled path bypasses the cell sweep)", file=sys.stderr)
-        return 2
-    if args.profile_engine and args.fidelity != "packet":
-        print("--fidelity cannot be combined with --profile-engine "
-              "(the profiled path bypasses the cell sweep)", file=sys.stderr)
-        return 2
-    if args.profile_engine and args.schedule:
-        print("--schedule cannot be combined with --profile-engine "
+    if args.profile_engine and modes:
+        flags = " and ".join(f"--{axis}" for axis in modes)
+        print(f"{flags} cannot be combined with --profile-engine "
               "(the profiled path bypasses the cell sweep)", file=sys.stderr)
         return 2
     if args.profile_engine:
         return _run_profiled(requested, args)
-
-    schedule_spec = None
-    if args.schedule:
-        from ..simnet.errors import ConfigurationError
-        from ..simnet.schedule import ScheduleSpec
-
-        try:
-            schedule_spec = ScheduleSpec.parse(args.schedule)
-        except ConfigurationError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-    trace_spec = None
-    if args.trace:
-        from ..trace.spec import TraceSpec
-
-        try:
-            trace_spec = TraceSpec.parse(args.trace)
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
     cache_dir = None if args.no_cache else args.cache_dir
     try:
         outcome = run_sweep(
@@ -231,10 +174,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             impair=args.impair,
             cache_dir=cache_dir,
             collect_timings=args.timings,
-            trace=trace_spec,
-            shards=args.shards,
-            fidelity=args.fidelity,
-            schedule=schedule_spec,
+            **modes,
         )
     except ValueError as error:
         print(str(error), file=sys.stderr)
@@ -251,7 +191,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print()
         if not result.all_passed:
             failures += 1
-    if trace_spec is not None:
+    if "trace" in modes:
         import os
 
         from ..trace.events import save_jsonl

@@ -7,11 +7,14 @@ derives the physical configuration via
 *virtual* time, and reports metrics in virtual units. Running the same
 function with ``tdf=1`` produces the scaled baseline the paper validates
 against, with identical RNG streams, so results are comparable point by
-point.
+point. Execution modes (fidelity, schedule, shards, trace, real-time
+pacing) are applied beneath the runners by :mod:`repro.harness.modes`;
+a runner takes a mode when its signature names it.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -26,21 +29,18 @@ from ..apps.streaming import JitterBufferSink, MediaSource
 from ..core.dilation import NetworkProfile, physical_for
 from ..core.tdf import TdfLike, as_tdf
 from ..core.vmm import Hypervisor
-from ..parallel.shard import InProcessShard, run_sharded
-from ..realtime.driver import RealtimeConfig, RealtimeDriver
 from ..simnet.errors import ConfigurationError
-from ..simnet.fluid import FluidManager
 from ..simnet.impairments import ImpairmentSpec
 from ..simnet.queues import DropTailQueue
 from ..simnet.schedule import ScheduleSpec
-from ..simnet.topology import Network, build_dumbbell, partition_network
-from ..simnet.trace import PacketTrace
+from ..simnet.topology import Network, build_dumbbell
 from ..trace.recorder import FlightRecorder
 from ..trace.spec import TraceSpec
 from ..tcp.options import TcpOptions
 from ..tcp.stack import TcpStack
 from ..udp.socket import UdpStack
 from ..workloads.specweb import SpecWebMix
+from .modes import RunContext, scenario
 
 __all__ = [
     "BulkFlowResult",
@@ -62,48 +62,11 @@ __all__ = [
     "default_queue_packets",
     "relative_error",
     "RUNNERS",
-    "FLUID_RUNNERS",
-    "SCHEDULE_RUNNERS",
+    "RUNNER_PARAMETERS",
 ]
 
 #: Frame size used for queue-sizing arithmetic (MSS + headers).
 FRAME_BYTES = 1500
-
-
-def _check_fidelity(fidelity: str) -> None:
-    """Reject unknown fidelity modes before any topology is built."""
-    if fidelity not in ("packet", "hybrid"):
-        raise ConfigurationError(
-            f"unknown fidelity {fidelity!r}: expected 'packet' or 'hybrid'"
-        )
-
-
-def _check_realtime(realtime, shards: int, _shard) -> None:
-    """Reject realtime pacing on sharded runs before any topology is built.
-
-    Each sharded worker has its own engine, barrier-synchronised with its
-    siblings; pacing any one of them against the wall clock would make the
-    barrier — not the deadline — decide when events fire.
-    """
-    if realtime and (shards != 1 or _shard is not None):
-        raise ConfigurationError(
-            "realtime=True requires shards=1: the wall-clock driver paces "
-            "a single engine"
-        )
-
-
-def _build_driver(realtime, sim, recorder) -> Optional[RealtimeDriver]:
-    """The run's pacing driver: None for batch, a RealtimeDriver otherwise.
-
-    ``realtime`` may be a bare truthy flag (default config) or a
-    :class:`~repro.realtime.driver.RealtimeConfig`. The recorder — when
-    the run was given a TraceSpec — rides along so deadline misses land in
-    ``trace_events`` beside the packet and timer events.
-    """
-    if not realtime:
-        return None
-    config = realtime if isinstance(realtime, RealtimeConfig) else None
-    return RealtimeDriver(sim, config=config, recorder=recorder)
 
 
 def relative_error(measured: float, reference: float) -> float:
@@ -178,6 +141,67 @@ class BulkFlowResult:
     realtime_stats: Dict = field(default_factory=dict)
 
 
+def _bulk_assignment(flows: int, shards: int) -> Dict[str, int]:
+    """Split the dumbbell at the bottleneck: senders left, receivers right.
+
+    The bottleneck link is the topology's only positive-lookahead cut, so
+    a dumbbell supports exactly two shards.
+    """
+    if shards != 2:
+        raise ConfigurationError(
+            "run_bulk supports exactly 2 shards (the dumbbell's only "
+            f"partitionable cut is the bottleneck link); got {shards}"
+        )
+    assignment = {"rL": 0, "rR": 1}
+    for index in range(flows):
+        assignment[f"s{index}"] = 0
+        assignment[f"d{index}"] = 1
+    return assignment
+
+
+def _merge_bulk(results: List[BulkFlowResult]) -> BulkFlowResult:
+    """Combine per-shard bulk results into the single-process equivalent.
+
+    Every field is owned by exactly one shard (a flow's server lives on
+    one worker; the rest report the identity element), so all the sums
+    below are float- and int-exact — the merged result equals the
+    ``shards=1`` result bit for bit.
+    """
+    flows = len(results[0].per_flow_goodput_bps)
+    per_flow = [0.0] * flows
+    drops: Dict[str, int] = {}
+    interarrivals: List[float] = []
+    srtt = None
+    for result in results:
+        for index, value in enumerate(result.per_flow_goodput_bps):
+            per_flow[index] += value
+        for reason, count in result.bottleneck_drops.items():
+            drops[reason] = drops.get(reason, 0) + count
+        interarrivals.extend(result.interarrivals)
+        if srtt is None:
+            srtt = result.srtt
+    return BulkFlowResult(
+        goodput_bps=sum(per_flow),
+        per_flow_goodput_bps=per_flow,
+        delivered_bytes=sum(r.delivered_bytes for r in results),
+        retransmits=sum(r.retransmits for r in results),
+        timeouts=sum(r.timeouts for r in results),
+        srtt=srtt,
+        segments_sent=sum(r.segments_sent for r in results),
+        interarrivals=interarrivals,
+        events_processed=sum(r.events_processed for r in results),
+        dupacks=sum(r.dupacks for r in results),
+        fast_retransmits=sum(r.fast_retransmits for r in results),
+        fast_recoveries=sum(r.fast_recoveries for r in results),
+        bottleneck_drops=drops,
+        checksum_drops=sum(r.checksum_drops for r in results),
+    )
+
+
+@scenario(
+    assign=lambda call: _bulk_assignment(call["flows"], call["shards"]),
+    merge=_merge_bulk,
+)
 def run_bulk(
     perceived: NetworkProfile,
     tdf: TdfLike,
@@ -199,77 +223,22 @@ def run_bulk(
 ) -> BulkFlowResult:
     """Bulk TCP over a dilated dumbbell; goodput in virtual bits/second.
 
-    ``realtime=True`` paces the run against the wall clock with a
-    :class:`repro.realtime.driver.RealtimeDriver`: every event fires at
-    its physical timestamp plus a fixed monotonic-clock offset, so the run
-    takes ``duration_s x tdf`` wall seconds and the result gains
-    ``realtime_stats`` (deadline misses, max slip, busy fraction). Pass a
-    :class:`~repro.realtime.driver.RealtimeConfig` instead of ``True`` to
-    tune the pacing knobs. Event order — and every metric — is
-    bit-identical to the batch run: the driver only decides *when*
-    ``sim.run`` is called, never what it executes. Requires ``shards=1``
-    (the driver paces a single engine).
-
-    ``fidelity="hybrid"`` installs a :class:`repro.simnet.fluid.FluidManager`
-    on the engine: steady-state flows are advanced by the coarse-stepped
-    fluid model and fall back to per-packet emulation on any
-    discontinuity. Results are statistically equivalent to
-    ``fidelity="packet"`` (the default, which is bit-exact with earlier
-    releases) at a fraction of the engine events.
-
     ``duration_s`` and ``warmup_s`` are virtual seconds; the physical run
-    is ``tdf`` times longer, exactly as the paper's dilated experiments
-    took TDF-times the wall-clock time.
+    is ``tdf`` times longer, as the paper's dilated experiments were.
+    ``impair`` attaches to the bottleneck's data-direction egress; its
+    decisions follow the packet sequence and its time knobs are virtual,
+    so a dilated lossy run faces the same pattern as its baseline.
+    ``collect_interarrivals`` records the first receiver's arrivals after
+    warmup, in its virtual time.
 
-    ``impair`` attaches a seed-deterministic impairment chain to the
-    bottleneck's data-direction egress. Per-packet decisions (loss,
-    duplication, corruption) depend only on the packet sequence, and the
-    spec's time-valued knobs are virtual and scaled by the TDF, so a
-    dilated lossy run faces the *same* impairment pattern as its baseline.
-
-    ``trace`` attaches a flight recorder per the spec (point / kinds /
-    capacity / tcp / timers) and returns its events in
-    ``BulkFlowResult.trace_events``. The recorder owns the first
-    receiver's clock, so every event carries a virtual timestamp and TDF
-    epoch changes are recorded. Recording spans the whole run including
-    warmup (so a dilated trace and its baseline's align from event zero).
-    ``trace.point == "receiver"`` cannot be combined with
-    ``collect_interarrivals`` (both claim the same interface's recorder).
-
-    ``schedule`` drives the bottleneck link's delay/bandwidth/liveness as
-    a piecewise function of *virtual* time
-    (:class:`~repro.simnet.schedule.ScheduleSpec`): the same perceived
-    trace is replayed under every TDF. Composes with ``shards=2`` — the
-    scheduled bottleneck *is* the cut link, and the partition derives its
-    lookahead from the schedule's minimum delay — and with
-    ``fidelity="hybrid"`` (the link is not fluid-transparent while a
-    change is pending).
-
-    ``shards=2`` splits the dumbbell at the bottleneck link — senders and
-    left router in one worker process, receivers and right router in the
-    other — and runs the two engines under the conservative barrier of
-    :mod:`repro.parallel.shard`. The merged result is event-for-event
-    identical to ``shards=1``. ``_shard`` is internal: the context a
-    sharded worker executes under.
+    Modes (:mod:`repro.harness.modes`): the schedule drives the
+    bottleneck link; two shards cut the dumbbell at the bottleneck,
+    senders and left router in one, receivers and right router in the
+    other; trace points are ``bottleneck`` (data egress), ``reverse``
+    (ACK egress) and ``receiver`` (the first receiver's ingress, which
+    ``collect_interarrivals`` also claims), stamped by the first
+    receiver's clock, and ``tcp=1`` watches the first sender's socket.
     """
-    _check_fidelity(fidelity)
-    _check_realtime(realtime, shards, _shard)
-    if shards != 1 and _shard is None:
-        _check_sharded_trace(trace)
-        results, stats = run_sharded(
-            "run_bulk",
-            dict(
-                perceived=perceived, tdf=tdf, duration_s=duration_s,
-                flows=flows, flavor=flavor, queue_packets=queue_packets,
-                warmup_s=warmup_s,
-                collect_interarrivals=collect_interarrivals,
-                sack=sack, mss=mss, impair=impair, schedule=schedule,
-                trace=trace, fidelity=fidelity,
-            ),
-            shards,
-            _bulk_assignment(flows, shards),
-        )
-        return _merge_bulk(results, stats)
     factor = as_tdf(tdf)
     physical = physical_for(perceived, factor)
     access_physical = physical_for(
@@ -292,22 +261,13 @@ def run_bulk(
         queue_factory=lambda: DropTailQueue(capacity_packets=queue),
     )
     net = bell.network
-    if schedule is not None:
-        # Attached before the partition below so the cut lookahead is
-        # derived from the schedule's minimum delay. Every worker arms the
-        # identical timers at the identical instants, so the per-shard
-        # link copies step in lockstep with the single-process run.
-        schedule.build(bell.bottleneck, tdf=factor)
-    ctx = _shard if _shard is not None else InProcessShard(net)
-    if _shard is not None:
-        ctx.localize(net, partition_network(net, ctx.shards, ctx.assignment))
-    if fidelity == "hybrid":
-        # Installed per engine, so a sharded hybrid run gets one manager
-        # per worker; flows crossing the shard cut stay packet-level (the
-        # steady-state predicate rejects egress-channel paths).
-        FluidManager(net.sim)
+    run = RunContext(
+        net, factor, scheduled_link=bell.bottleneck, schedule=schedule,
+        fidelity=fidelity, trace=trace, realtime=realtime, shard=_shard,
+    )
+    owns = run.owns
     bottleneck_egress = bell.bottleneck.interface_from(bell.router_left)
-    if impair is not None and ctx.owns(bell.router_left):
+    if impair is not None and owns(bell.router_left):
         bottleneck_egress.set_impairments(impair.build(net.sim, tdf=factor))
     vmm = Hypervisor(net.sim)
     share = 1.0 / (2 * flows)
@@ -331,7 +291,7 @@ def run_bulk(
         # every worker because their creation schedules nothing.
         servers.append(
             IperfServer(TcpStack(bell.receivers[index]), options=options)
-            if ctx.owns(bell.receivers[index])
+            if owns(bell.receivers[index])
             else None
         )
         # Never let the transfer finish inside the measurement window: queue
@@ -345,50 +305,32 @@ def run_bulk(
                 options=options,
                 flow_id=f"flow{index}",
             )
-            if ctx.owns(bell.senders[index])
+            if owns(bell.senders[index])
             else None
         )
-    packet_trace = None
-    if collect_interarrivals and ctx.owns(bell.receivers[0]):
-        packet_trace = PacketTrace(
-            bell.receiver_links[0].b_to_a, kinds=("rx",), flow_id="flow0"
-        )
     assert receiver_vm is not None
-    recorder = None
-    if trace is not None:
-        if trace.timers and ctx.shards != 1:
-            _check_sharded_trace(trace)
-        recorder = FlightRecorder(
-            capacity=trace.capacity,
-            clock=receiver_vm.clock,
-            name=f"bulk:{trace.point}",
-            packet_kinds=trace.kinds,
-        )
-        points = {
-            "bottleneck": bottleneck_egress,
-            "reverse": bell.bottleneck.interface_from(bell.router_right),
-            "receiver": bell.receiver_links[0].b_to_a,
-        }
-        # Each attachment point belongs to exactly one node; attach only
-        # on its owning shard so the merged trace has no duplicates.
-        point_nodes = {
-            "bottleneck": bell.router_left,
-            "reverse": bell.router_right,
-            "receiver": bell.receivers[0],
-        }
-        if ctx.owns(point_nodes[trace.point]):
-            recorder.attach_interface(points[trace.point])
-        if ctx.owns(bell.receivers[0]):
-            recorder.attach_clock(receiver_vm.clock, label="rcv0")
-        if trace.timers:
-            recorder.attach_engine(net.sim)
+    arrivals = None
+    if collect_interarrivals and owns(bell.receivers[0]):
+        arrivals = FlightRecorder(
+            capacity=None, name="interarrivals", packet_kinds=("rx",),
+            flow_id="flow0",
+        ).attach_interface(bell.receiver_links[0].b_to_a)
+    run.record(
+        "bulk",
+        points={
+            "bottleneck": (bottleneck_egress, bell.router_left),
+            "reverse": (bell.bottleneck.interface_from(bell.router_right),
+                        bell.router_right),
+            "receiver": (bell.receiver_links[0].b_to_a, bell.receivers[0]),
+        },
+        clock=receiver_vm.clock, clock_node=bell.receivers[0], label="rcv0",
+    )
     for client in clients:
         if client is not None:
             client.start()
-    if recorder is not None and trace.tcp and clients[0] is not None:
-        recorder.attach_socket(clients[0].socket)
-    driver = _build_driver(realtime, net.sim, recorder)
-    advance = ctx.advance if driver is None else driver.run
+    if clients[0] is not None:
+        run.record_socket(clients[0].socket)
+    advance = run.pace()
     warmup_bytes = [0] * flows
     if warmup_s > 0:
         advance(receiver_vm.clock.to_physical(warmup_s))
@@ -396,8 +338,8 @@ def run_bulk(
             server.total_bytes if server is not None else 0
             for server in servers
         ]
-        if packet_trace is not None:
-            packet_trace.clear()
+        if arrivals is not None:
+            arrivals.clear()
     advance(receiver_vm.clock.to_physical(duration_s))
     span = duration_s - warmup_s
     per_flow = [
@@ -408,11 +350,13 @@ def run_bulk(
                     for server, start in zip(servers, warmup_bytes)
                     if server is not None)
     interarrivals: List[float] = []
-    if packet_trace is not None:
-        interarrivals = packet_trace.interarrivals(receiver_vm.clock)
+    if arrivals is not None:
+        stamps = [receiver_vm.clock.to_local(event.physical_time)
+                  for event in arrivals]
+        interarrivals = [b - a for a, b in zip(stamps, stamps[1:])]
     live = [c for c in clients if c is not None]
     first = clients[0].socket if clients[0] is not None else None
-    return BulkFlowResult(
+    return run.finish(BulkFlowResult(
         goodput_bps=sum(per_flow),
         per_flow_goodput_bps=per_flow,
         delivered_bytes=delivered,
@@ -435,9 +379,7 @@ def run_bulk(
             for server in servers
             if server is not None
         ),
-        trace_events=recorder.snapshot() if recorder is not None else [],
-        realtime_stats=driver.stats.as_dict() if driver is not None else {},
-    )
+    ))
 
 
 # ========================================================================= web
@@ -549,13 +491,60 @@ class BitTorrentResult:
     realtime_stats: Dict = field(default_factory=dict)
 
 
-#: Deterministic per-leaf fraction in [0, 1) for ``delay_salt`` — the
-#: same Knuth-hash spread the swarm uses for ``timer_salt``, so both
-#: symmetry breakers are one definition (see
-#: :func:`repro.apps.bittorrent.swarm.salt_fraction`).
-_salt_fraction = salt_fraction
+def _swarm_assignment(leechers: int, shards: int) -> Dict[str, int]:
+    """Hub + tracker in shard 0, seed in shard 1, leechers striped.
+
+    The hub forwards every packet in the star (~30% of swarm events) and
+    the seed transmits every original piece copy (~15%); parking both in
+    shard 0 left it executing ~65% of all events while its siblings
+    idled at the barrier. Striping the seed out and giving shard 0 one
+    leecher per cycle against two for every other shard lands a 2-way
+    split at ~50/50 measured event share (hub + tracker + n/3 leechers
+    vs seed + 2n/3 leechers).
+    """
+    if shards < 2:
+        raise ConfigurationError(
+            f"a sharded swarm needs at least 2 shards, got {shards}"
+        )
+    if leechers < shards - 1:
+        raise ConfigurationError(
+            f"cannot spread {leechers} leechers over {shards} shards: "
+            "every shard above 0 needs at least one leecher"
+        )
+    assignment = {"hub": 0, "h0": 0, "h1": 1}
+    pattern = [0] + [shard for shard in range(1, shards) for _ in (0, 1)]
+    for index in range(leechers):
+        assignment[f"h{index + 2}"] = pattern[index % len(pattern)]
+    return assignment
 
 
+def _merge_bittorrent(results: List[BitTorrentResult]) -> BitTorrentResult:
+    """Combine per-shard swarm results into the single-process equivalent.
+
+    Each peer (and the tracker) exists on exactly one shard; the others
+    contribute zeros or empty lists, so sums and the sorted download-time
+    concatenation reproduce the ``shards=1`` result exactly.
+    """
+    return BitTorrentResult(
+        download_times_s=sorted(
+            t for r in results for t in r.download_times_s
+        ),
+        completed=sum(r.completed for r in results),
+        leechers=results[0].leechers,
+        seed_uploaded_bytes=sum(r.seed_uploaded_bytes for r in results),
+        total_downloaded_bytes=sum(
+            r.total_downloaded_bytes for r in results
+        ),
+        events_processed=sum(r.events_processed for r in results),
+        tracker_announces=sum(r.tracker_announces for r in results),
+        connections_total=sum(r.connections_total for r in results),
+    )
+
+
+@scenario(
+    assign=lambda call: _swarm_assignment(call["leechers"], call["shards"]),
+    merge=_merge_bittorrent,
+)
 def run_bittorrent(
     perceived_leaf: NetworkProfile,
     tdf: TdfLike,
@@ -578,74 +567,30 @@ def run_bittorrent(
 ) -> BitTorrentResult:
     """A one-seed swarm on a dilated star; download times in virtual seconds.
 
-    ``impair`` attaches a seed-deterministic impairment chain to the seed's
-    uplink egress (the link every original piece copy crosses), so losses
-    bite the swarm's primary data source. ``impair_tracker`` impairs both
+    ``impair`` attaches to the seed's uplink egress (the link every
+    original piece copy crosses); ``impair_tracker`` impairs both
     directions of the tracker's access link instead — the scenario the
     announce retry exists for.
 
-    ``schedule`` drives the *seed's access link* — the path every original
-    piece copy crosses — as a piecewise function of virtual time
-    (:class:`~repro.simnet.schedule.ScheduleSpec`): the Starlink-backhaul
-    scenario, where the swarm's primary source sits behind a handover
-    path. Attached before any partition so a sharded run derives its cut
-    lookahead from the schedule's minimum delay.
+    ``delay_salt`` spreads the leaf propagation delays by a relative
+    per-leaf offset (leaf ``i`` gets ``delay * (1 + delay_salt *
+    frac(i))`` with a fixed hash fraction); ``timer_salt`` spreads the
+    peers' choke intervals the same way. Both default to 0.0, the
+    historical perfectly symmetric star. A tiny salt breaks the
+    float-time phase locking in which packets from different leaves
+    reach the hub at bit-equal timestamps, ties that no bounded
+    cross-shard merge key can order (see :mod:`repro.parallel.shard`).
 
-    ``trace`` attaches a flight recorder: point ``bottleneck`` is the
-    seed's uplink egress, ``reverse`` the hub-to-seed direction, and
-    ``receiver`` the first leecher's ingress. Timestamps ride the first
-    leecher's clock; the ``tcp=1`` flag is ignored (a swarm has no single
-    distinguished socket).
-
-    ``delay_salt`` spreads the leaf link propagation delays by a relative
-    per-leaf offset (leaf ``i`` gets ``delay * (1 + delay_salt * frac(i))``
-    with a fixed hash fraction). The default 0.0 keeps the historical
-    perfectly-symmetric star. A tiny salt (``1e-6`` ≈ tens of nanoseconds
-    at 10 ms) breaks the float-time phase locking a symmetric swarm falls
-    into, where packets from different leaves reach the hub at *bit-equal*
-    timestamps; those ties are resolved by unbounded event-creation
-    genealogy in a single process, which no bounded cross-shard merge key
-    can reproduce (see :mod:`repro.parallel.shard`). ``timer_salt``
-    spreads the peers' choke intervals the same way (roster slot ``i``
-    gets ``interval * (1 + timer_salt * frac(i))``) — the documented
-    fallback for specs that must keep link delays bit-symmetric but can
-    tolerate de-phase-locked timers; default 0.0, so goldens never see it.
-
-    ``shards=N`` keeps the hub and tracker in worker 0, stripes the seed
-    into worker 1 (its upload traffic is ~15% of swarm events — leaving
-    it beside the hub's ~30% starved every other worker), and stripes the
-    leechers over all workers, synchronised by the
-    conservative barrier of :mod:`repro.parallel.shard` with the star
-    links' propagation delay as lookahead. Aggregate results (event
-    counts, byte totals, announce counts) merge exactly for any
-    configuration; per-packet event order — and hence download times — is
-    event-for-event identical to ``shards=1`` when the topology is free of
-    cross-leaf timestamp ties, which ``delay_salt`` guarantees. ``_shard``
-    is internal.
-
-    ``realtime=True`` (or a :class:`~repro.realtime.driver.RealtimeConfig`)
-    paces the run against the wall clock — see :func:`run_bulk`; requires
-    ``shards=1``.
+    Modes (:mod:`repro.harness.modes`): the schedule drives the seed's
+    access link, the Starlink-backhaul case; shards keep the hub and
+    tracker in worker 0, the seed in worker 1 and stripe the leechers
+    (see :func:`_swarm_assignment`), and a salted sharded run is
+    event-for-event identical to ``shards=1``; trace points are
+    ``bottleneck`` (the seed's uplink egress), ``reverse`` (hub to seed)
+    and ``receiver`` (the first leecher's ingress), stamped by the first
+    leecher's clock (a swarm has no single socket, so ``tcp=1`` is
+    ignored).
     """
-    _check_fidelity(fidelity)
-    _check_realtime(realtime, shards, _shard)
-    if shards != 1 and _shard is None:
-        _check_sharded_trace(trace)
-        results, stats = run_sharded(
-            "run_bittorrent",
-            dict(
-                perceived_leaf=perceived_leaf, tdf=tdf, leechers=leechers,
-                file_bytes=file_bytes, seed=seed, piece_bytes=piece_bytes,
-                horizon_s=horizon_s, choke_interval_s=choke_interval_s,
-                impair=impair, impair_tracker=impair_tracker,
-                schedule=schedule, trace=trace,
-                delay_salt=delay_salt, timer_salt=timer_salt,
-                fidelity=fidelity,
-            ),
-            shards,
-            _swarm_assignment(leechers, shards),
-        )
-        return _merge_bittorrent(results, stats)
     factor = as_tdf(tdf)
     physical = physical_for(perceived_leaf, factor)
     net = Network()
@@ -657,7 +602,7 @@ def run_bittorrent(
         leaf = net.add_node(f"h{index}")
         link = net.add_link(
             leaf, hub, physical.bandwidth_bps,
-            physical.delay_s * (1.0 + delay_salt * _salt_fraction(index)),
+            physical.delay_s * (1.0 + delay_salt * salt_fraction(index)),
             queue_factory=lambda: DropTailQueue(
                 capacity_packets=default_queue_packets(perceived_leaf)
             ),
@@ -665,35 +610,24 @@ def run_bittorrent(
         leaves.append(leaf)
         links.append(link)
     net.finalize()
-    if schedule is not None:
-        # The seed's access link (links[1], h1<->hub). Before the
-        # partition: the cut lookahead must see the schedule's min delay.
-        schedule.build(links[1], tdf=factor)
-    ctx = _shard if _shard is not None else InProcessShard(net)
-    if _shard is not None:
-        ctx.localize(net, partition_network(net, ctx.shards, ctx.assignment))
-    if fidelity == "hybrid":
-        # Swarm traffic is bursty and multiplexed, so most flows stay
-        # packet-level most of the time; long piece streams over quiet
-        # leaf links still promote (and demote on the first competing
-        # transmit). Honest win here is modest — fig3-style bulk flows
-        # are where the event reduction lands.
-        FluidManager(net.sim)
     tracker_link, seed_link, first_leecher_link = links[0], links[1], links[2]
+    run = RunContext(
+        net, factor, scheduled_link=seed_link, schedule=schedule,
+        fidelity=fidelity, trace=trace, realtime=realtime, shard=_shard,
+    )
+    owns = run.owns
     # Impairment chains attach to an egress, so they belong to the shard
-    # that owns the transmitting node (under the standard assignment the
-    # seed's uplink sits in shard 1, the tracker link in shard 0; the
-    # ownership gates keep any split honest).
-    if impair is not None and ctx.owns(leaves[1]):
+    # that owns the transmitting node.
+    if impair is not None and owns(leaves[1]):
         seed_link.interface_from(leaves[1]).set_impairments(
             impair.build(net.sim, tdf=factor)
         )
     if impair_tracker is not None:
-        if ctx.owns(hub):
+        if owns(hub):
             tracker_link.interface_from(hub).set_impairments(
                 impair_tracker.build(net.sim, tdf=factor)
             )
-        if ctx.owns(leaves[0]):
+        if owns(leaves[0]):
             tracker_link.interface_from(leaves[0]).set_impairments(
                 impair_tracker.build(net.sim, tdf=factor)
             )
@@ -713,49 +647,30 @@ def run_bittorrent(
         rng=random.Random(seed),
         config=PeerConfig(choke_interval_s=choke_interval_s,
                           stall_timeout_s=4 * choke_interval_s),
-        include=ctx.owns if _shard is not None else None,
+        include=owns,
         timer_salt=timer_salt,
     )
-    recorder = None
-    if trace is not None:
-        if trace.timers and ctx.shards != 1:
-            _check_sharded_trace(trace)
-        recorder = FlightRecorder(
-            capacity=trace.capacity,
-            clock=vms[2].clock,
-            name=f"swarm:{trace.point}",
-            packet_kinds=trace.kinds,
-        )
-        points = {
-            "bottleneck": seed_link.interface_from(leaves[1]),
-            "reverse": seed_link.interface_from(hub),
-            "receiver": first_leecher_link.interface_from(hub),
-        }
-        point_nodes = {
-            "bottleneck": leaves[1],
-            "reverse": hub,
-            "receiver": hub,
-        }
-        if ctx.owns(point_nodes[trace.point]):
-            recorder.attach_interface(points[trace.point])
-        if ctx.owns(leaves[2]):
-            recorder.attach_clock(vms[2].clock, label="leecher0")
-        if trace.timers:
-            recorder.attach_engine(net.sim)
+    run.record(
+        "swarm",
+        points={
+            "bottleneck": (seed_link.interface_from(leaves[1]), leaves[1]),
+            "reverse": (seed_link.interface_from(hub), hub),
+            "receiver": (first_leecher_link.interface_from(hub), hub),
+        },
+        clock=vms[2].clock, clock_node=leaves[2], label="leecher0",
+    )
     swarm.start()
     clock = vms[0].clock
-    driver = _build_driver(realtime, net.sim, recorder)
-    advance = ctx.advance if driver is None else driver.run
+    advance = run.pace()
     step = 5.0
     elapsed = 0.0
     # ``all_agree`` makes the completion predicate global, so every shard
-    # takes the same number of 5-virtual-second strides (shards=1: the
-    # in-process context reduces it to the local predicate unchanged).
-    while not ctx.all_agree(swarm.all_complete()) and elapsed < horizon_s:
+    # takes the same number of 5-virtual-second strides.
+    while not run.all_agree(swarm.all_complete()) and elapsed < horizon_s:
         elapsed = min(horizon_s, elapsed + step)
         advance(clock.to_physical(elapsed))
     seed_peer = swarm.seeds[0]
-    return BitTorrentResult(
+    return run.finish(BitTorrentResult(
         download_times_s=sorted(swarm.download_times()),
         completed=sum(
             1 for p in swarm.leechers if p is not None and p.complete
@@ -772,9 +687,7 @@ def run_bittorrent(
             swarm.tracker.announces if swarm.tracker is not None else 0
         ),
         connections_total=sum(p.connection_count for p in swarm.peers),
-        trace_events=recorder.snapshot() if recorder is not None else [],
-        realtime_stats=driver.stats.as_dict() if driver is not None else {},
-    )
+    ))
 
 
 # ============================================================== starlink/QoE
@@ -858,9 +771,7 @@ def run_starlink(
         queue_factory=lambda: DropTailQueue(capacity_packets=queue),
     )
     net.finalize()
-    link_schedule = (
-        schedule.build(space, tdf=factor) if schedule is not None else None
-    )
+    run = RunContext(net, factor, scheduled_link=space, schedule=schedule)
     vmm = Hypervisor(net.sim)
     vm_ut = vmm.create_vm("ut", tdf=factor, cpu_share=1 / 3, node=ut)
     vmm.create_vm("gw", tdf=factor, cpu_share=1 / 3, node=gw)
@@ -914,7 +825,7 @@ def run_starlink(
             server.total_bytes * 8 / duration_s if server is not None else 0.0
         ),
         schedule_changes=(
-            link_schedule.applied if link_schedule is not None else 0
+            run.schedule.applied if run.schedule is not None else 0
         ),
         outage_drops=outage_drops,
         events_processed=net.sim.events_processed,
@@ -1301,144 +1212,6 @@ def run_cpu_task(
     )
 
 
-# ================================================================== sharding
-
-
-def _check_sharded_trace(trace: Optional[TraceSpec]) -> None:
-    """Reject trace options that cannot survive a multi-engine run."""
-    if trace is not None and trace.timers:
-        raise ConfigurationError(
-            "trace timers=1 records engine-internal timer events and "
-            "cannot be combined with shards > 1: each worker has its own "
-            "engine, so the merged timer stream would be meaningless"
-        )
-
-
-def _bulk_assignment(flows: int, shards: int) -> Dict[str, int]:
-    """Split the dumbbell at the bottleneck: senders left, receivers right.
-
-    The bottleneck link is the topology's only positive-lookahead cut, so
-    a dumbbell supports exactly two shards.
-    """
-    if shards != 2:
-        raise ConfigurationError(
-            "run_bulk supports exactly 2 shards (the dumbbell's only "
-            f"partitionable cut is the bottleneck link); got {shards}"
-        )
-    assignment = {"rL": 0, "rR": 1}
-    for index in range(flows):
-        assignment[f"s{index}"] = 0
-        assignment[f"d{index}"] = 1
-    return assignment
-
-
-def _swarm_assignment(leechers: int, shards: int) -> Dict[str, int]:
-    """Hub + tracker in shard 0, seed in shard 1, leechers striped.
-
-    The hub forwards every packet in the star (~30% of swarm events) and
-    the seed transmits every original piece copy (~15%); parking both in
-    shard 0 — the PR 6 layout — left it executing ~65% of all events
-    while its siblings idled at the barrier. Striping the seed out and
-    giving shard 0 one leecher per cycle against two for every other
-    shard lands a 2-way split at ~50/50 measured event share (hub +
-    tracker + n/3 leechers vs seed + 2n/3 leechers).
-    """
-    if shards < 2:
-        raise ConfigurationError(
-            f"a sharded swarm needs at least 2 shards, got {shards}"
-        )
-    if leechers < shards - 1:
-        raise ConfigurationError(
-            f"cannot spread {leechers} leechers over {shards} shards: "
-            "every shard above 0 needs at least one leecher"
-        )
-    assignment = {"hub": 0, "h0": 0, "h1": 1}
-    pattern = [0] + [shard for shard in range(1, shards) for _ in (0, 1)]
-    for index in range(leechers):
-        assignment[f"h{index + 2}"] = pattern[index % len(pattern)]
-    return assignment
-
-
-def _merge_trace_events(results: List) -> List:
-    """Interleave per-shard recorder snapshots into one physical timeline.
-
-    Each attachment point records on exactly one shard, so this is a
-    k-way merge of disjoint streams; the sort is stable, preserving each
-    shard's own recording order for same-instant events.
-    """
-    events = [event for result in results for event in result.trace_events]
-    events.sort(key=lambda event: event.physical_time)
-    return events
-
-
-def _merge_bulk(results: List[BulkFlowResult],
-                stats: List[Dict]) -> BulkFlowResult:
-    """Combine per-shard bulk results into the single-process equivalent.
-
-    Every field is owned by exactly one shard (a flow's server lives on
-    one worker; the rest report the identity element), so all the sums
-    below are float- and int-exact — the merged result equals the
-    ``shards=1`` result bit for bit.
-    """
-    flows = len(results[0].per_flow_goodput_bps)
-    per_flow = [0.0] * flows
-    drops: Dict[str, int] = {}
-    interarrivals: List[float] = []
-    srtt = None
-    for result in results:
-        for index, value in enumerate(result.per_flow_goodput_bps):
-            per_flow[index] += value
-        for reason, count in result.bottleneck_drops.items():
-            drops[reason] = drops.get(reason, 0) + count
-        interarrivals.extend(result.interarrivals)
-        if srtt is None:
-            srtt = result.srtt
-    return BulkFlowResult(
-        goodput_bps=sum(per_flow),
-        per_flow_goodput_bps=per_flow,
-        delivered_bytes=sum(r.delivered_bytes for r in results),
-        retransmits=sum(r.retransmits for r in results),
-        timeouts=sum(r.timeouts for r in results),
-        srtt=srtt,
-        segments_sent=sum(r.segments_sent for r in results),
-        interarrivals=interarrivals,
-        events_processed=sum(r.events_processed for r in results),
-        dupacks=sum(r.dupacks for r in results),
-        fast_retransmits=sum(r.fast_retransmits for r in results),
-        fast_recoveries=sum(r.fast_recoveries for r in results),
-        bottleneck_drops=drops,
-        checksum_drops=sum(r.checksum_drops for r in results),
-        trace_events=_merge_trace_events(results),
-        shard_stats=list(stats),
-    )
-
-
-def _merge_bittorrent(results: List[BitTorrentResult],
-                      stats: List[Dict]) -> BitTorrentResult:
-    """Combine per-shard swarm results into the single-process equivalent.
-
-    Each peer (and the tracker) exists on exactly one shard; the others
-    contribute zeros or empty lists, so sums and the sorted download-time
-    concatenation reproduce the ``shards=1`` result exactly.
-    """
-    return BitTorrentResult(
-        download_times_s=sorted(
-            t for r in results for t in r.download_times_s
-        ),
-        completed=sum(r.completed for r in results),
-        leechers=results[0].leechers,
-        seed_uploaded_bytes=sum(r.seed_uploaded_bytes for r in results),
-        total_downloaded_bytes=sum(
-            r.total_downloaded_bytes for r in results
-        ),
-        events_processed=sum(r.events_processed for r in results),
-        tracker_announces=sum(r.tracker_announces for r in results),
-        connections_total=sum(r.connections_total for r in results),
-        trace_events=_merge_trace_events(results),
-        shard_stats=list(stats),
-    )
-
-
 # ================================================================== registry
 
 #: Spec-driven entry points for the parallel sweep runner: every runner a
@@ -1459,10 +1232,9 @@ RUNNERS = {
     "run_dynamic_tdf": run_dynamic_tdf,
 }
 
-#: Runners that accept the ``fidelity=`` axis (hybrid fluid/packet
-#: engine); the sweep runner's ``--fidelity hybrid`` rewrites only these.
-FLUID_RUNNERS = frozenset({"run_bulk", "run_bittorrent"})
-
-#: Runners that accept the ``schedule=`` axis (dynamic-topology link
-#: schedules); the sweep runner's ``--schedule`` rewrites only these.
-SCHEDULE_RUNNERS = frozenset({"run_bulk", "run_bittorrent", "run_starlink"})
+#: Each runner's keyword names, read once from its signature: which
+#: runner takes which execution mode (:func:`repro.harness.modes.accepts`).
+RUNNER_PARAMETERS = {
+    name: frozenset(inspect.signature(fn).parameters)
+    for name, fn in RUNNERS.items()
+}

@@ -47,8 +47,8 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..parallel.shard import SHARDABLE_RUNNERS, shard_cell_kwargs
-from ..trace.spec import TRACEABLE_RUNNERS, TraceSpec
+from ..trace.spec import TraceSpec
+from .modes import AXES, apply_modes, capable_runners, requested_modes
 from .report import FigureResult, Table
 
 __all__ = [
@@ -408,109 +408,6 @@ class SweepOutcome:
         return "\n".join(lines)
 
 
-def _apply_trace(cells: List[CellSpec],
-                 trace: TraceSpec) -> Tuple[List[CellSpec], int]:
-    """Thread ``trace`` into every traceable cell; returns (cells, traced).
-
-    A traced cell gets ``kwargs["trace"] = trace`` — a *different* cell
-    (different token) from its untraced twin, so traced results never
-    alias untraced cache entries. Non-traceable runners pass through.
-    """
-    out: List[CellSpec] = []
-    traced = 0
-    for spec in cells:
-        if spec.runner in TRACEABLE_RUNNERS:
-            kwargs = dict(spec.kwargs)
-            kwargs["trace"] = trace
-            out.append(CellSpec(spec.figure_id, spec.key, spec.runner,
-                                kwargs))
-            traced += 1
-        else:
-            out.append(spec)
-    return out, traced
-
-
-def _apply_shards(cells: List[CellSpec],
-                  shards: int) -> Tuple[List[CellSpec], int]:
-    """Thread ``shards`` into every shardable cell; returns (cells, count).
-
-    Like :func:`_apply_trace`, a sharded cell is a *different* cell from
-    its single-process twin (the token covers kwargs), so sharded results
-    never alias single-process cache entries — even though the merged
-    values are equivalent, their ``shard_stats`` differ (and sharded
-    swarm cells run with the default determinism ``delay_salt``, see
-    :func:`repro.parallel.shard.shard_cell_kwargs`). Non-shardable
-    runners pass through and run single-process.
-    """
-    out: List[CellSpec] = []
-    sharded = 0
-    for spec in cells:
-        if spec.runner in SHARDABLE_RUNNERS:
-            out.append(CellSpec(
-                spec.figure_id, spec.key, spec.runner,
-                shard_cell_kwargs(spec.runner, spec.kwargs, shards),
-            ))
-            sharded += 1
-        else:
-            out.append(spec)
-    return out, sharded
-
-
-def _apply_fidelity(cells: List[CellSpec],
-                    fidelity: str) -> Tuple[List[CellSpec], int]:
-    """Thread ``fidelity`` into every fluid-capable cell; returns (cells, count).
-
-    Like :func:`_apply_shards`, a hybrid cell is a *different* cell from
-    its packet twin (the token covers kwargs), so hybrid results never
-    alias packet cache entries — the values are statistically equivalent,
-    not bit-identical, and their ``fluid.*`` counters differ. Runners
-    without the fidelity axis pass through and run packet-level.
-    """
-    from .experiments import FLUID_RUNNERS
-
-    out: List[CellSpec] = []
-    rewritten = 0
-    for spec in cells:
-        if spec.runner in FLUID_RUNNERS:
-            kwargs = dict(spec.kwargs)
-            kwargs["fidelity"] = fidelity
-            out.append(CellSpec(spec.figure_id, spec.key, spec.runner,
-                                kwargs))
-            rewritten += 1
-        else:
-            out.append(spec)
-    return out, rewritten
-
-
-def _apply_schedule(cells: List[CellSpec],
-                    schedule: Any) -> Tuple[List[CellSpec], int]:
-    """Thread ``schedule`` into every schedule-capable cell; returns
-    (cells, count).
-
-    Like :func:`_apply_trace`, a scheduled cell is a *different* cell
-    from its static twin (the token covers kwargs, and ``ScheduleSpec``
-    is a frozen dataclass the canonical hash understands), so scheduled
-    results never alias static cache entries. Cells that already carry a
-    schedule (ext6 bakes its own trace axis in) are *overridden* — the
-    ``--schedule`` axis replays the whole figure against the user's
-    trace. Runners without the axis pass through unchanged.
-    """
-    from .experiments import SCHEDULE_RUNNERS
-
-    out: List[CellSpec] = []
-    rewritten = 0
-    for spec in cells:
-        if spec.runner in SCHEDULE_RUNNERS:
-            kwargs = dict(spec.kwargs)
-            kwargs["schedule"] = schedule
-            out.append(CellSpec(spec.figure_id, spec.key, spec.runner,
-                                kwargs))
-            rewritten += 1
-        else:
-            out.append(spec)
-    return out, rewritten
-
-
 def _recorder_events(spec: CellSpec, value: Any) -> Optional[int]:
     """Captured-event count for a traced cell's result (None if untraced)."""
     if spec.kwargs.get("trace") is None:
@@ -544,38 +441,20 @@ def run_sweep(
     disables the on-disk cache. The returned figures are in ``figure_ids``
     order and byte-identical to a sequential run.
 
-    ``trace`` attaches a flight recorder to every traceable cell (see
-    :data:`repro.trace.spec.TRACEABLE_RUNNERS`); the recordings come back
-    in ``SweepOutcome.traces`` in spec order — worker completion order
-    never leaks into the merge, so the traces are ``--jobs``-independent.
-    Requesting a trace for figures with no traceable cells is an error.
-
-    ``shards`` splits each shardable cell (see
-    :data:`repro.parallel.shard.SHARDABLE_RUNNERS`) across that many
-    worker processes with the conservative sharded engine; non-shardable
-    cells run single-process as before. Each cell then occupies ``shards``
-    processes, multiplying with ``--jobs`` — budget ``jobs * shards``
-    against the machine's cores. Requesting shards for figures with no
-    shardable cells is an error.
-
-    ``fidelity="hybrid"`` switches every fluid-capable cell (see
-    :data:`repro.harness.experiments.FLUID_RUNNERS`) to the hybrid
-    fluid/packet engine; results are statistically equivalent to packet
-    level (gated by :func:`repro.harness.validate.compare_metrics`) but
-    not bit-identical, and cache under separate tokens. Requesting hybrid
-    for figures with no fluid-capable cells is an error.
-
-    ``schedule`` (a :class:`repro.simnet.schedule.ScheduleSpec`) drives
-    every schedule-capable cell's dynamic link from the given
-    virtual-time trace (see
-    :data:`repro.harness.experiments.SCHEDULE_RUNNERS`); cells that
-    already carry a schedule are overridden. Requesting a schedule for
-    figures with no schedule-capable cells is an error.
+    ``trace``, ``shards``, ``fidelity`` and ``schedule`` are execution
+    modes (:mod:`repro.harness.modes`): each is threaded into every cell
+    whose runner takes it, and the rest run as enumerated. Asking for a
+    mode no cell of a figure takes is an error. Traces come back in
+    ``SweepOutcome.traces`` in spec order, whatever ``jobs`` is. A
+    sharded cell occupies ``shards`` processes, so budget
+    ``jobs * shards`` against the machine's cores.
     """
     from .figures import CELL_MODEL
 
     started = time.perf_counter()
     jobs = _resolve_jobs(jobs)
+    modes = requested_modes(trace=trace, shards=shards, fidelity=fidelity,
+                            schedule=schedule)
     per_figure: Dict[str, List[CellSpec]] = {}
     unique: Dict[str, CellSpec] = {}
     for figure_id in figure_ids:
@@ -588,39 +467,12 @@ def run_sweep(
             ) from None
         if impair is not None and not model.has_impair_axis:
             raise ValueError(f"experiment {figure_id!r} has no --impair axis")
-        cells = model.cells(impair)
-        if trace is not None:
-            cells, traced = _apply_trace(cells, trace)
-            if traced == 0:
+        cells, refused = apply_modes(model.cells(impair), modes)
+        for axis, keys in refused.items():
+            if len(keys) == len(cells):
                 raise ValueError(
-                    f"experiment {figure_id!r} has no traceable cells "
-                    f"(traceable runners: {', '.join(sorted(TRACEABLE_RUNNERS))})"
-                )
-        if shards != 1:
-            cells, sharded = _apply_shards(cells, shards)
-            if sharded == 0:
-                raise ValueError(
-                    f"experiment {figure_id!r} has no shardable cells "
-                    f"(shardable runners: {', '.join(sorted(SHARDABLE_RUNNERS))})"
-                )
-        if fidelity != "packet":
-            cells, fluid_cells = _apply_fidelity(cells, fidelity)
-            if fluid_cells == 0:
-                from .experiments import FLUID_RUNNERS
-
-                raise ValueError(
-                    f"experiment {figure_id!r} has no fluid-capable cells "
-                    f"(fluid runners: {', '.join(sorted(FLUID_RUNNERS))})"
-                )
-        if schedule is not None:
-            cells, scheduled = _apply_schedule(cells, schedule)
-            if scheduled == 0:
-                from .experiments import SCHEDULE_RUNNERS
-
-                raise ValueError(
-                    f"experiment {figure_id!r} has no schedule-capable cells "
-                    "(schedule runners: "
-                    f"{', '.join(sorted(SCHEDULE_RUNNERS))})"
+                    f"experiment {figure_id!r} has no {AXES[axis]} cells "
+                    f"({AXES[axis]} runners: {capable_runners(axis)})"
                 )
         per_figure[figure_id] = cells
         for spec in cells:

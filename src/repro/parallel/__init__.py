@@ -1,14 +1,12 @@
 """Sharded conservative parallel execution of the simulation engine."""
 
 from .shard import (
-    SHARDABLE_RUNNERS,
     InProcessShard,
     ShardContext,
     run_sharded,
 )
 
 __all__ = [
-    "SHARDABLE_RUNNERS",
     "InProcessShard",
     "ShardContext",
     "run_sharded",

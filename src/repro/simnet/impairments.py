@@ -442,8 +442,8 @@ class Handover(Impairment):
 
 
 class FunctionLoss(Impairment):
-    """Adapter subsuming the legacy ``Interface.loss_fn`` hook: drop every
-    packet for which ``fn(packet)`` is true, charged as ``"injected"``."""
+    """Drop every packet for which ``fn(packet)`` is true, charged as
+    ``"injected"`` — scripted loss for tests and experiments."""
 
     reason = "injected"
 

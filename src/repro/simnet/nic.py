@@ -80,9 +80,6 @@ class Interface:
         #: off; each packet-event site pays one is-None check and nothing
         #: else, so determinism pins and engine benchmarks are unchanged.
         self.recorder = None
-        #: Optional fault injector: packets for which this returns True are
-        #: dropped before queueing (used by loss experiments and tests).
-        self.loss_fn: Optional[Callable[[Packet], bool]] = None
         #: Optional impairment pipeline (loss models, reordering,
         #: duplication, corruption, flaps); ``None`` costs one attribute
         #: check per packet and schedules no events.
@@ -92,7 +89,7 @@ class Interface:
         self.up = True
         #: Unified drop taxonomy: reason -> count. Every egress drop on
         #: this interface lands here under exactly one reason — "down"
-        #: (administratively down), "injected" (legacy ``loss_fn``),
+        #: (administratively down), "injected" (a ``FunctionLoss`` predicate),
         #: "queue" (discipline rejected it), "shaper" (a wrapping
         #: ShapedInterface's backlog overflowed), or an impairment-stage
         #: reason ("loss", "reorder"…, "flap"). Mirrored into
@@ -138,10 +135,6 @@ class Interface:
         for tap in self._taps:
             tap(kind, self.sim.now, packet)
 
-    def set_loss(self, loss_fn: Optional[Callable[[Packet], bool]]) -> None:
-        """Install (or clear) a deterministic loss injector."""
-        self.loss_fn = loss_fn
-
     def set_impairments(self, chain: Optional["ImpairmentChain"]) -> None:
         """Attach (or clear) an impairment pipeline on this egress.
 
@@ -162,8 +155,8 @@ class Interface:
         """True when this egress is a pure delay+bandwidth+droptail pipe.
 
         The fluid fast path (:mod:`repro.simnet.fluid`) may only model a
-        hop it can express in closed form: no loss injector, impairment
-        chain, tap, recorder or jitter (all per-packet decisions), no
+        hop it can express in closed form: no impairment chain, tap,
+        recorder or jitter (all per-packet decisions), no
         cross-shard egress channel (those packets must really cross the
         boundary inside the lookahead window), no schedule change still
         pending (a closed-form hold would integrate straight across the
@@ -174,7 +167,6 @@ class Interface:
         return (
             self.up
             and self.egress_channel is None
-            and self.loss_fn is None
             and self._impairments is None
             and not self._taps
             and self.recorder is None
@@ -205,7 +197,8 @@ class Interface:
 
     @property
     def injected_losses(self) -> int:
-        """Packets dropped by the legacy ``loss_fn`` hook."""
+        """Packets dropped by a :class:`~repro.simnet.impairments.FunctionLoss`
+        predicate."""
         return self.drops.get("injected", 0)
 
     @property
@@ -230,9 +223,6 @@ class Interface:
             raise ConfigurationError(f"interface {self.name} is not connected")
         if not self.up:
             self._drop(packet, "down")
-            return
-        if self.loss_fn is not None and self.loss_fn(packet):
-            self._drop(packet, "injected")
             return
         chain = self._impairments
         if chain is not None:

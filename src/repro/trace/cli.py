@@ -20,12 +20,20 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
+from ..harness.modes import (
+    AXES,
+    accepts,
+    add_mode_arguments,
+    apply_modes,
+    capable_runners,
+    parse_modes,
+)
 from .diff import DEFAULT_TIME_TOLERANCE, diff_traces, summarize_events
 from .events import load_jsonl, save_jsonl
 from .pcap import export_pcap
-from .spec import TRACEABLE_RUNNERS, TraceSpec
 
 __all__ = ["main"]
 
@@ -49,37 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
              "cell of the figure)",
     )
     capture.add_argument(
-        "--spec", metavar="SPEC", default="bottleneck",
+        "--spec", metavar="SPEC", default="bottleneck", dest="trace",
         help="trace spec, point[:key=value,...] (default: bottleneck)",
     )
     capture.add_argument(
         "--out", metavar="DIR", default="traces",
         help="output directory (default: traces)",
     )
-    capture.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="run shardable cells on N worker processes with the "
-             "conservative sharded engine (default: 1); the CI shard tier "
-             "captures the same cell at --shards 1 and 2 and diffs the "
-             "recordings to pin event-for-event identity",
-    )
-    capture.add_argument(
-        "--fidelity",
-        choices=("packet", "hybrid"),
-        default="packet",
-        help="engine fidelity for fluid-capable cells: 'packet' (default, "
-             "bit-exact golden behaviour) or 'hybrid' (fluid fast path for "
-             "steady-state bulk); capture both and diff to see exactly "
-             "where the fluid engine coarsens the packet timeline",
-    )
-    capture.add_argument(
-        "--schedule", metavar="SPEC", default=None,
-        help="drive each cell's dynamic link from a virtual-time schedule, "
-             "kind[:key=value,...] with kind leo or csv (e.g. "
-             "'leo:period=1.0,count=4,outage=0.03'); the CI schedule tier "
-             "captures the same scheduled cell at --shards 1 and 2 and "
-             "diffs the recordings to zero divergence",
-    )
+    add_mode_arguments(capture)
     capture.add_argument(
         "--salt", type=float, default=None, metavar="S",
         help="explicit delay_salt for swarm cells (run_bittorrent only). "
@@ -135,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_capture(args: argparse.Namespace) -> int:
     from ..harness.figures import CELL_MODEL
-    from ..harness.runner import CellSpec, execute_cell
+    from ..harness.runner import execute_cell
 
     try:
         model = CELL_MODEL[args.figure]
@@ -144,15 +129,15 @@ def _cmd_capture(args: argparse.Namespace) -> int:
               + ", ".join(CELL_MODEL), file=sys.stderr)
         return 2
     try:
-        trace = TraceSpec.parse(args.spec)
+        modes = parse_modes(args)
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
     cells = [spec for spec in model.cells(None)
-             if spec.runner in TRACEABLE_RUNNERS]
+             if accepts(spec.runner, "trace")]
     if not cells:
         print(f"figure {args.figure!r} has no traceable cells "
-              f"(traceable runners: {', '.join(sorted(TRACEABLE_RUNNERS))})",
+              f"(traceable runners: {capable_runners('trace')})",
               file=sys.stderr)
         return 2
     if args.cells:
@@ -164,70 +149,25 @@ def _cmd_capture(args: argparse.Namespace) -> int:
                   f"known: {', '.join(by_key)}", file=sys.stderr)
             return 2
         cells = [by_key[key] for key in wanted]
-    if args.shards < 1:
-        print(f"--shards must be >= 1: {args.shards}", file=sys.stderr)
-        return 2
-    if args.shards != 1:
-        from ..parallel.shard import SHARDABLE_RUNNERS, shard_cell_kwargs
-
-        unshardable = [s.key for s in cells
-                       if s.runner not in SHARDABLE_RUNNERS]
-        if unshardable:
-            print(f"cell(s) not shardable: {', '.join(unshardable)} "
-                  f"(shardable runners: "
-                  f"{', '.join(sorted(SHARDABLE_RUNNERS))})",
-                  file=sys.stderr)
-            return 2
     if args.salt is not None:
-        unsaltable = [s.key for s in cells if s.runner != "run_bittorrent"]
+        unsaltable = [s.key for s in cells
+                      if not accepts(s.runner, "delay_salt")]
         if unsaltable:
             print(f"--salt only applies to swarm cells; not saltable: "
                   f"{', '.join(unsaltable)}", file=sys.stderr)
             return 2
-    if args.fidelity != "packet":
-        from ..harness.experiments import FLUID_RUNNERS
-
-        unfluid = [s.key for s in cells if s.runner not in FLUID_RUNNERS]
-        if unfluid:
-            print(f"cell(s) not fluid-capable: {', '.join(unfluid)} "
-                  f"(fluid runners: {', '.join(sorted(FLUID_RUNNERS))})",
-                  file=sys.stderr)
-            return 2
-    schedule_spec = None
-    if args.schedule is not None:
-        from ..harness.experiments import SCHEDULE_RUNNERS
-        from ..simnet.errors import ConfigurationError
-        from ..simnet.schedule import ScheduleSpec
-
-        try:
-            schedule_spec = ScheduleSpec.parse(args.schedule)
-        except ConfigurationError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        unscheduled = [s.key for s in cells
-                       if s.runner not in SCHEDULE_RUNNERS]
-        if unscheduled:
-            print(f"cell(s) not schedule-capable: {', '.join(unscheduled)} "
-                  f"(schedule runners: "
-                  f"{', '.join(sorted(SCHEDULE_RUNNERS))})",
+        cells = [replace(s, kwargs=dict(s.kwargs, delay_salt=args.salt))
+                 for s in cells]
+    cells, refused = apply_modes(cells, modes)
+    for axis, keys in refused.items():
+        if keys:
+            print(f"cell(s) not {AXES[axis]}: {', '.join(keys)} "
+                  f"({AXES[axis]} runners: {capable_runners(axis)})",
                   file=sys.stderr)
             return 2
     os.makedirs(args.out, exist_ok=True)
     for spec in cells:
-        base = dict(spec.kwargs)
-        if args.salt is not None:
-            base["delay_salt"] = args.salt
-        if args.fidelity != "packet":
-            base["fidelity"] = args.fidelity
-        if schedule_spec is not None:
-            base["schedule"] = schedule_spec
-        if args.shards != 1:
-            kwargs = shard_cell_kwargs(spec.runner, base, args.shards)
-        else:
-            kwargs = base
-        kwargs["trace"] = trace
-        traced = CellSpec(spec.figure_id, spec.key, spec.runner, kwargs)
-        result, _ = execute_cell(traced)
+        result, _ = execute_cell(spec)
         events = getattr(result, "trace_events", []) or []
         path = os.path.join(args.out, f"{spec.figure_id}-{spec.key}.jsonl")
         save_jsonl(events, path)

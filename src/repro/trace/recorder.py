@@ -45,8 +45,8 @@ class FlightRecorder:
     Parameters
     ----------
     capacity:
-        Ring size in events; ``None`` records without bound (the legacy
-        :class:`~repro.simnet.trace.PacketTrace` shim uses this).
+        Ring size in events; ``None`` records without bound (the bulk
+        runner's ``collect_interarrivals`` uses this).
     clock:
         Optional owning clock; when set, every event also captures
         ``clock.to_local(physical_time)`` as its virtual timestamp.

@@ -1,11 +1,11 @@
 """``TraceSpec`` — a picklable recorder configuration for the cell model.
 
 ``repro-figure --trace <spec>`` and ``repro-trace capture`` thread one of
-these through :class:`~repro.harness.runner.CellSpec` kwargs into the
-runner (:func:`~repro.harness.experiments.run_bulk` and
-:func:`~repro.harness.experiments.run_bittorrent`), which builds a
+these through :class:`~repro.harness.runner.CellSpec` kwargs into every
+runner that takes a ``trace`` keyword; the mode layer
+(:mod:`repro.harness.modes`) builds a
 :class:`~repro.trace.recorder.FlightRecorder` from it inside the worker
-process and returns the captured events in its result dataclass. Like
+process and returns the captured events in the result dataclass. Like
 :class:`~repro.simnet.impairments.ImpairmentSpec`, it is a frozen
 dataclass so the runner's canonical cache hashing works unchanged — a
 traced cell is a *different* cell from its untraced twin.
@@ -32,13 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-__all__ = ["TraceSpec", "TRACEABLE_RUNNERS", "TRACE_POINTS"]
+__all__ = ["TraceSpec", "TRACE_POINTS"]
 
 TRACE_POINTS = ("bottleneck", "reverse", "receiver")
-
-#: Runners that accept a ``trace=`` kwarg (checked by the sweep runner so
-#: ``--trace`` fails loudly on figures that cannot honour it).
-TRACEABLE_RUNNERS = frozenset({"run_bulk", "run_bittorrent"})
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from repro.simnet.errors import ConfigurationError
 from repro.simnet.topology import Network
 from repro.simnet.units import mbps, ms
 from repro.udp.socket import UdpStack
+from tests.helpers import drop_where
 
 
 def build_path(delay=ms(20), jitter=None, jitter_seed=5, tdf=None,
@@ -82,7 +83,7 @@ def test_jitter_makes_some_frames_late():
 def test_lost_frames_counted():
     net, ua, ub, _ = build_path()
     link = net.links[0]
-    link.a_to_b.set_loss(lambda p: p.payload.payload.seq % 10 == 3)
+    drop_where(link.a_to_b, lambda p: p.payload.payload.seq % 10 == 3)
     sink = JitterBufferSink(ub, 5004)
     source = MediaSource(ua, "b", 5004, total_frames=100)
     source.start()

@@ -75,3 +75,31 @@ def test_cli_csv_export(tmp_path, capsys):
     assert csv_file.exists()
     header = csv_file.read_text().splitlines()[0]
     assert "TDF" in header
+
+
+def test_cli_blank_schedule_is_parsed_not_dropped(capsys):
+    """``--schedule ""`` is a bad spec, not an absent one."""
+    assert cli.main(["table1", "--no-cache", "--schedule", ""]) == 2
+    assert "unknown schedule kind" in capsys.readouterr().err
+
+
+def test_cli_blank_trace_is_parsed_not_dropped(capsys):
+    """``--trace ""`` parses as the default point, exactly as
+    ``--trace bottleneck`` does, so a figure without traceable cells
+    refuses both."""
+    for spec in ("", "bottleneck"):
+        assert cli.main(["table1", "--no-cache", "--trace", spec]) == 2
+        assert "no traceable cells" in capsys.readouterr().err
+
+
+def test_cli_rejects_zero_shards(capsys):
+    assert cli.main(["table1", "--no-cache", "--shards", "0"]) == 2
+    assert "--shards must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_profile_engine_refuses_every_mode(capsys):
+    for flags in (["--shards", "2"], ["--fidelity", "hybrid"],
+                  ["--schedule", "leo"], ["--trace", "bottleneck"]):
+        assert cli.main(["table2", "--profile-engine", *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"{flags[0]} cannot be combined with --profile-engine" in err

@@ -11,10 +11,8 @@ import pytest
 
 from repro.core.dilation import NetworkProfile
 from repro.harness import cli
-from repro.harness.experiments import (
-    SCHEDULE_RUNNERS,
-    run_starlink,
-)
+from repro.harness.experiments import run_starlink
+from repro.harness.modes import accepts
 from repro.harness.validate import compare_metrics
 from repro.simnet.schedule import ScheduleSpec
 from repro.simnet.units import mbps, ms
@@ -74,20 +72,21 @@ def test_ext6_registered_with_schedule_capable_runners():
     assert "ext6" in FIGURES
     cells = CELL_MODEL["ext6"].cells()
     assert cells, "ext6 enumerates no cells"
-    assert all(spec.runner in SCHEDULE_RUNNERS for spec in cells)
+    assert all(accepts(spec.runner, "schedule") for spec in cells)
     runners = {spec.runner for spec in cells}
     assert runners == {"run_starlink", "run_bittorrent"}
 
 
 def test_apply_schedule_rewrites_only_capable_cells():
-    from repro.harness.runner import CellSpec, _apply_schedule
+    from repro.harness.modes import apply_modes
+    from repro.harness.runner import CellSpec
 
     cells = [
         CellSpec("f", "a", "run_starlink", {"tdf": 1}),
         CellSpec("f", "b", "run_web", {"tdf": 1}),
     ]
-    out, rewritten = _apply_schedule(cells, SCHEDULE)
-    assert rewritten == 1
+    out, refused = apply_modes(cells, {"schedule": SCHEDULE})
+    assert refused == {"schedule": ["b"]}
     assert out[0].kwargs["schedule"] == SCHEDULE
     assert "schedule" not in out[1].kwargs
     # Distinct token from the static twin: no cache aliasing.

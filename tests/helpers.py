@@ -1,5 +1,6 @@
 """Shared fixtures/builders for integration tests."""
 
+from repro.simnet.impairments import FunctionLoss, ImpairmentChain
 from repro.simnet.link import Link
 from repro.simnet.queues import DropTailQueue
 from repro.simnet.topology import Network
@@ -27,6 +28,12 @@ def two_hosts(
     stack_a = TcpStack(a, default_options=tcp_options)
     stack_b = TcpStack(b, default_options=tcp_options)
     return net, a, b, stack_a, stack_b, link
+
+
+def drop_where(interface, predicate):
+    """Drop every packet ``predicate`` picks on ``interface``'s egress,
+    charged as ``"injected"``."""
+    interface.set_impairments(ImpairmentChain([FunctionLoss(predicate)]))
 
 
 class Collector:

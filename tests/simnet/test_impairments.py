@@ -8,6 +8,7 @@ from repro.simnet.impairments import (
     BernoulliLoss,
     Corrupt,
     Duplicate,
+    FunctionLoss,
     GilbertElliott,
     ImpairmentChain,
     ImpairmentSpec,
@@ -251,9 +252,11 @@ def test_stages_compose_in_order():
 def test_legacy_loss_fn_and_down_state_share_the_taxonomy():
     sim = Simulator()
     a, b, link, sink = wire(sim)
-    link.a_to_b.set_loss(lambda pkt: True)
+    link.a_to_b.set_impairments(
+        ImpairmentChain([FunctionLoss(lambda pkt: True)])
+    )
     a.send(packet())
-    link.a_to_b.set_loss(None)
+    link.a_to_b.set_impairments(None)
     link.a_to_b.up = False
     a.send(packet())
     sim.run()

@@ -1,4 +1,4 @@
-"""Unit tests for packet tracing."""
+"""Packet tracing at the NIC: a flight recorder attached to one interface."""
 
 import pytest
 
@@ -7,7 +7,8 @@ from repro.simnet.engine import Simulator
 from repro.simnet.link import Link
 from repro.simnet.node import Node
 from repro.simnet.packet import Packet
-from repro.simnet.trace import PacketTrace
+from repro.trace.recorder import FlightRecorder
+from tests.helpers import drop_where
 
 
 class Sink:
@@ -28,111 +29,123 @@ def send_n(a, n, flow_id=None, size=1250):
         a.send(Packet(src="a", dst="b", protocol="raw", size_bytes=size, flow_id=flow_id))
 
 
+def trace(interface, kinds=("rx",), flow_id=None, clock=None):
+    return FlightRecorder(
+        capacity=None, clock=clock, packet_kinds=kinds, flow_id=flow_id,
+    ).attach_interface(interface)
+
+
+def gaps(stamps):
+    return [b - a for a, b in zip(stamps, stamps[1:])]
+
+
 def test_records_rx_by_default():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    trace = PacketTrace(link.b_to_a)
+    recorder = trace(link.b_to_a)
     send_n(a, 3)
     sim.run()
-    assert len(trace) == 3
-    assert all(record.kind == "rx" for record in trace.records)
+    assert len(recorder) == 3
+    assert all(event.kind == "rx" for event in recorder)
 
 
 def test_interarrivals_physical():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    trace = PacketTrace(link.b_to_a)
+    recorder = trace(link.b_to_a)
     send_n(a, 3)  # back-to-back at 1 Mbps, 1250 B -> 10 ms spacing
     sim.run()
-    assert trace.interarrivals() == pytest.approx([0.010, 0.010])
+    stamps = [event.physical_time for event in recorder]
+    assert gaps(stamps) == pytest.approx([0.010, 0.010])
 
 
 def test_interarrivals_in_virtual_time():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    trace = PacketTrace(link.b_to_a)
+    recorder = trace(link.b_to_a)
     clock = DilatedClock(sim, tdf=10)
     send_n(a, 3)
     sim.run()
-    assert trace.interarrivals(clock) == pytest.approx([0.001, 0.001])
+    stamps = [clock.to_local(event.physical_time) for event in recorder]
+    assert gaps(stamps) == pytest.approx([0.001, 0.001])
 
 
 def test_flow_filter():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    trace = PacketTrace(link.b_to_a, flow_id="wanted")
+    recorder = trace(link.b_to_a, flow_id="wanted")
     send_n(a, 2, flow_id="wanted")
     send_n(a, 5, flow_id="other")
     sim.run()
-    assert len(trace) == 2
+    assert len(recorder) == 2
 
 
 def test_kind_filter_and_total_bytes():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    trace = PacketTrace(link.a_to_b, kinds=("tx",))
+    recorder = trace(link.a_to_b, kinds=("tx",))
     send_n(a, 4, size=500)
     sim.run()
-    assert len(trace) == 4
-    assert trace.total_bytes() == 2000
+    assert len(recorder) == 4
+    assert sum(event.size_bytes for event in recorder) == 2000
 
 
 def test_virtual_time_captured_with_owning_clock():
     sim = Simulator()
     a, b, link = wired_pair(sim)
     clock = DilatedClock(sim, tdf=10)
-    trace = PacketTrace(link.b_to_a, clock=clock)
+    recorder = trace(link.b_to_a, clock=clock)
     send_n(a, 3)
     sim.run()
-    for record in trace.records:
-        assert record.virtual_time == pytest.approx(record.physical_time / 10)
+    for event in recorder:
+        assert event.virtual_time == pytest.approx(event.physical_time / 10)
 
 
 def test_virtual_time_none_without_clock():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    trace = PacketTrace(link.b_to_a)
+    recorder = trace(link.b_to_a)
     send_n(a, 1)
     sim.run()
-    assert trace.records[0].virtual_time is None
+    assert recorder.snapshot()[0].virtual_time is None
 
 
 def test_drop_records_carry_taxonomy_reason():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    trace = PacketTrace(link.a_to_b, kinds=("drop", "rx"))
-    link.a_to_b.set_loss(lambda packet: True)
+    recorder = trace(link.a_to_b, kinds=("drop", "rx"))
+    drop_where(link.a_to_b, lambda packet: True)
     send_n(a, 2)
     sim.run()
-    assert len(trace) == 2
-    assert all(record.kind == "drop" and record.drop_reason == "injected"
-               for record in trace.records)
+    assert len(recorder) == 2
+    assert all(event.kind == "drop" and event.reason == "injected"
+               for event in recorder)
 
 
 def test_non_drop_records_have_no_reason():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    trace = PacketTrace(link.b_to_a)
+    recorder = trace(link.b_to_a)
     send_n(a, 1)
     sim.run()
-    assert trace.records[0].drop_reason is None
+    assert recorder.snapshot()[0].reason is None
 
 
 def test_one_trace_per_interface():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    PacketTrace(link.b_to_a)
+    trace(link.b_to_a)
     with pytest.raises(ValueError, match="already has a recorder"):
-        PacketTrace(link.b_to_a)
+        trace(link.b_to_a)
 
 
 def test_clear_forgets_records():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    trace = PacketTrace(link.b_to_a)
+    recorder = trace(link.b_to_a)
     send_n(a, 3)
     sim.run()
-    assert len(trace) == 3
-    trace.clear()
-    assert len(trace) == 0
-    assert trace.records == []
+    assert len(recorder) == 3
+    recorder.clear()
+    assert len(recorder) == 0
+    assert recorder.snapshot() == []

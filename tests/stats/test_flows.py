@@ -8,7 +8,7 @@ from repro.simnet.topology import Network
 from repro.simnet.units import mbps, ms
 from repro.stats.flows import UNLABELLED, FlowMonitor
 from repro.tcp.stack import TcpStack
-from tests.helpers import Collector
+from tests.helpers import Collector, drop_where
 
 
 def build(monitor_clock=None, queue_packets=100):
@@ -127,8 +127,9 @@ def test_interface_drop_taxonomy_surfaced():
 
 def test_tcp_summary_aggregates_tracked_sockets():
     net, a, b, link, monitor = build()
-    link.a_to_b.set_loss(
-        lambda pkt: 20_000 < getattr(pkt.payload, "seq", 0) < 25_000
+    drop_where(
+        link.a_to_b,
+        lambda pkt: 20_000 < getattr(pkt.payload, "seq", 0) < 25_000,
     )
     events = Collector()
     TcpStack(b).listen(80, events.on_accept, on_data=events.on_data)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simnet.units import mbps, ms
 from repro.tcp import TcpOptions
-from tests.helpers import Collector, two_hosts
+from tests.helpers import Collector, drop_where, two_hosts
 
 
 def run_with_random_loss(seed, data_loss, ack_loss, total_bytes, sack):
@@ -47,8 +47,8 @@ def run_with_random_loss(seed, data_loss, ack_loss, total_bytes, sack):
             return True
         return False
 
-    link.a_to_b.set_loss(drop_forward)
-    link.b_to_a.set_loss(drop_reverse)
+    drop_where(link.a_to_b, drop_forward)
+    drop_where(link.b_to_a, drop_reverse)
     client = sa.connect("b", 80)
     chunk = 10_000
     for index in range(total_bytes // chunk):

@@ -6,7 +6,7 @@ from repro.simnet.units import mbps, ms
 from repro.tcp import TcpOptions
 from repro.tcp.buffers import ReceiveAssembler
 from repro.tcp.socket import _merge_interval, _total_bytes, _trim_below
-from tests.helpers import Collector, two_hosts
+from tests.helpers import Collector, drop_where, two_hosts
 
 
 class TestIntervalHelpers:
@@ -94,7 +94,7 @@ class TestSackRecovery:
                 return True
             return False
 
-        link.a_to_b.set_loss(drop_burst)
+        drop_where(link.a_to_b, drop_burst)
         client = sa.connect("b", 80)
         client.send(5_000_000)
         net.run(until=until)
@@ -140,7 +140,7 @@ class TestSackRecovery:
                 return True
             return False
 
-        link.a_to_b.set_loss(drop_one)
+        drop_where(link.a_to_b, drop_one)
         client = sa.connect("b", 80)
         client.send(200_000)
         net.run(until=10.0)

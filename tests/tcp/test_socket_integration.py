@@ -4,7 +4,7 @@ import pytest
 
 from repro.simnet.units import mbps, ms
 from repro.tcp import ESTABLISHED, CLOSED, TIME_WAIT, TcpOptions
-from tests.helpers import Collector, two_hosts
+from tests.helpers import Collector, drop_where, two_hosts
 
 
 def test_handshake_establishes_both_ends():
@@ -153,7 +153,7 @@ def test_loss_recovery_via_fast_retransmit():
             return True
         return False
 
-    link.a_to_b.set_loss(drop_fifth_data)
+    drop_where(link.a_to_b, drop_fifth_data)
     client = sa.connect("b", 80)
     client.send(300_000)
     net.run(until=20.0)
@@ -177,7 +177,7 @@ def test_recovery_from_burst_loss():
             return True
         return False
 
-    link.a_to_b.set_loss(drop_burst)
+    drop_where(link.a_to_b, drop_burst)
     client = sa.connect("b", 80)
     client.send(300_000)
     net.run(until=30.0)
@@ -194,7 +194,7 @@ def test_rto_recovers_from_total_ack_blackout():
     def drop_acks_early(packet):
         return net.sim.now < 1.0
 
-    link.b_to_a.set_loss(drop_acks_early)
+    drop_where(link.b_to_a, drop_acks_early)
     client = sa.connect("b", 80)
     client.send(100_000)
     net.run(until=60.0)
@@ -215,7 +215,7 @@ def test_syn_retransmission_on_lost_syn():
             return True
         return False
 
-    link.a_to_b.set_loss(drop_first_syn)
+    drop_where(link.a_to_b, drop_first_syn)
     client = sa.connect("b", 80)
     net.run(until=10.0)
     assert client.state == ESTABLISHED
@@ -225,7 +225,7 @@ def test_syn_retransmission_on_lost_syn():
 def test_give_up_after_max_retries():
     net, a, b, sa, sb, link = two_hosts()
     events = Collector()
-    link.a_to_b.set_loss(lambda packet: True)  # black hole
+    drop_where(link.a_to_b, lambda packet: True)  # black hole
     client = sa.connect("b", 80, on_error=events.on_error)
     net.run(until=10_000.0)
     assert client.state == CLOSED
@@ -247,7 +247,7 @@ def test_message_markers_survive_loss():
             return True
         return False
 
-    link.a_to_b.set_loss(drop_one)
+    drop_where(link.a_to_b, drop_one)
     client = sa.connect("b", 80)
     for index in range(10):
         client.send(1000, message=f"msg{index}")
@@ -285,7 +285,7 @@ def test_flavors_all_complete_transfer():
                 return True
             return False
 
-        link.a_to_b.set_loss(drop_some)
+        drop_where(link.a_to_b, drop_some)
         client = sa.connect("b", 80)
         client.send(200_000)
         net.run(until=60.0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.simnet.impairments import FunctionLoss, ImpairmentChain
 from repro.simnet.units import mbps, ms
 from repro.tcp import TcpOptions
 from repro.tcp.segment import Segment
@@ -17,7 +18,9 @@ def run_transfer(timestamps, bandwidth=mbps(50), rtt=ms(40), until=3.0,
     events = Collector()
     sb.listen(80, events.on_accept, on_data=events.on_data)
     if loss_fn is not None:
-        link.a_to_b.set_loss(loss_fn)
+        link.a_to_b.set_impairments(
+            ImpairmentChain([FunctionLoss(loss_fn)])
+        )
     client = sa.connect("b", 80)
     client.send(20_000_000)
     net.run(until=until)

@@ -1,12 +1,14 @@
 """``repro-trace`` CLI: capture -> export -> diff -> summarize."""
 
+import inspect
 import json
 import struct
 
 import pytest
 
 from repro.core.dilation import NetworkProfile
-from repro.harness import figures
+from repro.harness import experiments, figures
+from repro.harness.experiments import run_bulk
 from repro.harness.report import FigureResult, Table
 from repro.harness.runner import CellSpec, FigureCells
 from repro.simnet.units import mbps, ms
@@ -168,17 +170,44 @@ def test_capture_fidelity_hybrid_plumbs_through(tmp_path, tiny_figure):
     assert rc == 0
 
 
-def test_capture_fidelity_rejected_for_non_fluid_cells(
-    tmp_path, tiny_figure, monkeypatch, capsys,
-):
-    from repro.harness import experiments
+def run_traced_only(perceived, tdf, duration_s, warmup_s=0.0, trace=None):
+    """A runner whose signature takes the trace mode and no other."""
+    return run_bulk(perceived, tdf, duration_s, warmup_s=warmup_s,
+                    trace=trace)
 
-    monkeypatch.setattr(experiments, "FLUID_RUNNERS", frozenset())
+
+@pytest.fixture()
+def traced_only_figure(monkeypatch):
+    monkeypatch.setitem(experiments.RUNNERS, "run_traced_only",
+                        run_traced_only)
+    monkeypatch.setitem(
+        experiments.RUNNER_PARAMETERS, "run_traced_only",
+        frozenset(inspect.signature(run_traced_only).parameters),
+    )
+    monkeypatch.setitem(
+        figures.CELL_MODEL, "figtraced",
+        FigureCells(
+            enumerate=lambda: [
+                CellSpec("figtraced", "only", "run_traced_only",
+                         {"perceived": PERCEIVED, "tdf": 1,
+                          "duration_s": 0.3, "warmup_s": 0.1}),
+            ],
+            assemble=_tiny_assemble,
+        ),
+    )
+
+
+def test_capture_fidelity_rejected_for_non_fluid_cells(
+    tmp_path, traced_only_figure, capsys,
+):
     assert trace_cli.main([
-        "capture", "figtest", "--fidelity", "hybrid",
+        "capture", "figtraced", "--out", str(tmp_path),
+    ]) == 0
+    assert trace_cli.main([
+        "capture", "figtraced", "--fidelity", "hybrid",
         "--out", str(tmp_path),
     ]) == 2
-    assert "not fluid-capable" in capsys.readouterr().err
+    assert "not fluid-capable: only" in capsys.readouterr().err
 
 
 def test_capture_salted_baseline_matches_sharded_swarm(
@@ -238,15 +267,44 @@ def test_capture_schedule_rejects_bad_spec(tmp_path, tiny_figure, capsys):
 
 
 def test_capture_schedule_rejected_for_incapable_cells(
-    tmp_path, tiny_figure, monkeypatch, capsys,
+    tmp_path, traced_only_figure, capsys,
 ):
-    from repro.harness import experiments
-
-    monkeypatch.setattr(experiments, "SCHEDULE_RUNNERS", frozenset())
     assert trace_cli.main([
-        "capture", "figtest", "--schedule", "leo", "--out", str(tmp_path),
+        "capture", "figtraced", "--schedule", "leo", "--out", str(tmp_path),
     ]) == 2
-    assert "not schedule-capable" in capsys.readouterr().err
+    assert "not schedule-capable: only" in capsys.readouterr().err
+    assert trace_cli.main([
+        "capture", "figtraced", "--shards", "2", "--out", str(tmp_path),
+    ]) == 2
+    assert "not shardable: only" in capsys.readouterr().err
+
+
+def test_capture_rejects_blank_schedule_like_repro_figure(
+    tmp_path, tiny_figure, capsys,
+):
+    assert trace_cli.main([
+        "capture", "figtest", "--schedule", "", "--out", str(tmp_path),
+    ]) == 2
+    assert "unknown schedule kind" in capsys.readouterr().err
+    assert trace_cli.main([
+        "capture", "figtest", "--shards", "0", "--out", str(tmp_path),
+    ]) == 2
+    assert "--shards must be >= 1" in capsys.readouterr().err
+
+
+def test_capture_blank_spec_traces_the_default_point(tmp_path, tiny_figure):
+    """A blank spec parses as the default point in both CLIs, so
+    ``--spec ""`` captures exactly what ``--spec bottleneck`` does."""
+    for spec, out in (("", "blank"), ("bottleneck", "named")):
+        assert trace_cli.main([
+            "capture", "figtest", "--cells", "tdf1", "--spec", spec,
+            "--out", str(tmp_path / out),
+        ]) == 0
+    assert trace_cli.main([
+        "diff",
+        str(tmp_path / "blank" / "figtest-tdf1.jsonl"),
+        str(tmp_path / "named" / "figtest-tdf1.jsonl"),
+    ]) == 0
 
 
 def test_diff_missing_file(tmp_path, capsys):

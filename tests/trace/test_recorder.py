@@ -9,6 +9,7 @@ from repro.simnet.node import Node
 from repro.simnet.packet import Packet
 from repro.trace.events import event_from_dict, event_to_dict, load_jsonl, save_jsonl
 from repro.trace.recorder import FlightRecorder
+from tests.helpers import drop_where
 
 
 class Sink:
@@ -94,7 +95,7 @@ def test_drop_reason_captured():
     a, b, link = wired_pair(sim)
     recorder = FlightRecorder(packet_kinds=("drop",))
     recorder.attach_interface(link.a_to_b)
-    link.a_to_b.set_loss(lambda packet: True)
+    drop_where(link.a_to_b, lambda packet: True)
     send_n(a, 3)
     sim.run()
     assert len(recorder) == 3
@@ -173,7 +174,7 @@ def test_jsonl_round_trip(tmp_path):
     a, b, link = wired_pair(sim)
     recorder = FlightRecorder(clock=DilatedClock(sim, tdf=7))
     recorder.attach_interface(link.a_to_b)
-    link.a_to_b.set_loss(lambda packet: packet.uid % 2 == 0)
+    drop_where(link.a_to_b, lambda packet: packet.uid % 2 == 0)
     send_n(a, 6, flow_id="f0")
     sim.run()
     path = tmp_path / "recording.jsonl"
