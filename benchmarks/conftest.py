@@ -1,17 +1,28 @@
 """Shared machinery for the figure benchmarks.
 
-Each benchmark regenerates one table/figure of the paper via the harness
-registry, prints the paper-style rows (run pytest with ``-s`` to see
-them), and fails if any shape check fails. ``benchmark.pedantic`` with a
-single round keeps pytest-benchmark from re-running multi-minute
-simulations; the recorded time is the full figure-regeneration time.
+Each benchmark regenerates one table/figure of the paper through the cell
+sweep (``run_sweep`` at ``jobs=1``, in-process), prints the paper-style
+rows (run pytest with ``-s`` to see them), and fails if any shape check
+fails. ``benchmark.pedantic`` with a single round keeps pytest-benchmark
+from re-running multi-minute simulations; the recorded time is the full
+figure-regeneration time. The session shares one result cache, so fig8
+reuses the web sweep fig7 already ran.
 """
 
 import os
 
 import pytest
 
-from repro.harness.figures import run_figure
+from repro.harness.runner import run_sweep
+
+#: The session's cell cache directory (set by :func:`_session_cell_cache`).
+_CELL_CACHE = None
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_cell_cache(tmp_path_factory):
+    global _CELL_CACHE
+    _CELL_CACHE = str(tmp_path_factory.mktemp("cell-cache"))
 
 
 @pytest.fixture(scope="session")
@@ -51,9 +62,12 @@ def bench_provenance(cpu_count):
 
 def regenerate(benchmark, figure_id):
     """Run one figure under the benchmark fixture and assert its checks."""
-    result = benchmark.pedantic(
-        run_figure, args=(figure_id,), rounds=1, iterations=1
+    outcome = benchmark.pedantic(
+        run_sweep, args=([figure_id],),
+        kwargs={"jobs": 1, "cache_dir": _CELL_CACHE},
+        rounds=1, iterations=1,
     )
+    [result] = outcome.figures
     print()
     print(result.render())
     failed = result.failed_checks()

@@ -12,18 +12,20 @@ Figures are executed as a deduplicated cell sweep
 ``os.cpu_count()`` worker processes and completed cells are cached under
 ``.repro-cache/``, so an interrupted ``all`` resumes where it stopped.
 Output is merged in spec order and is byte-identical whatever ``--jobs``
-is. ``--profile-engine`` takes the classic sequential in-process path —
-the engine profiler is a per-process singleton, so it cannot span a pool.
+is. ``--profile-engine`` profiles each executed cell where it runs (in a
+pool worker too) and appends, per figure, the profile merged over the
+cells that figure executed; it composes with every mode but ``--shards``,
+whose engines run in the shard workers' processes.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import List, Optional
 
-from .figures import FIGURES, figure_ids, run_figure
+from ..stats.engineprof import render
+from .figures import CELL_MODEL, figure_ids
 from .modes import add_mode_arguments, parse_modes
 from .runner import DEFAULT_CACHE_DIR, run_sweep
 
@@ -80,8 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--profile-engine",
         action="store_true",
         help="append an event-engine profile (events/sec, heap stats, "
-             "per-component histogram) to each experiment's report; "
-             "implies the sequential in-process path",
+             "per-component histogram) to each experiment's report, "
+             "merged over the cells the experiment executed (cached cells "
+             "are not re-run, so not profiled); not with --shards",
     )
     parser.add_argument(
         "--impair",
@@ -111,47 +114,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_profiled(requested: List[str], args: argparse.Namespace) -> int:
-    """The classic sequential path: one profiled figure at a time."""
-    failures = 0
-    for figure_id in requested:
-        started = time.time()
-        try:
-            result = run_figure(figure_id, profile_engine=True,
-                                impair=args.impair)
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        elapsed = time.time() - started
-        print(result.render())
-        print(f"  ({elapsed:.1f} s wall)")
-        if args.csv:
-            import os
-
-            os.makedirs(args.csv, exist_ok=True)
-            path = result.write_csv(args.csv)
-            print(f"  csv: {path}")
-        print()
-        if not result.all_passed:
-            failures += 1
-    if failures:
-        print(f"{failures} experiment(s) had failing checks", file=sys.stderr)
-        return 1
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
     if args.list or not args.figures:
         print("available experiments:")
         for figure_id in figure_ids():
-            doc = (FIGURES[figure_id].__doc__ or "").strip().splitlines()[0]
-            print(f"  {figure_id:10s} {doc}")
+            doc = CELL_MODEL[figure_id].assemble.__doc__.strip()
+            print(f"  {figure_id:10s} {doc.splitlines()[0]}")
         return 0
     requested = figure_ids() if args.figures == ["all"] else args.figures
     for figure_id in requested:
-        if figure_id not in FIGURES:
+        if figure_id not in CELL_MODEL:
             print(f"unknown figure {figure_id!r}; use --list", file=sys.stderr)
             return 2
     try:
@@ -159,13 +133,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    if args.profile_engine and modes:
-        flags = " and ".join(f"--{axis}" for axis in modes)
-        print(f"{flags} cannot be combined with --profile-engine "
-              "(the profiled path bypasses the cell sweep)", file=sys.stderr)
+    if args.profile_engine and "shards" in modes:
+        print("--shards cannot be combined with --profile-engine (a sharded "
+              "cell's engines run in its shard worker processes)",
+              file=sys.stderr)
         return 2
-    if args.profile_engine:
-        return _run_profiled(requested, args)
     cache_dir = None if args.no_cache else args.cache_dir
     try:
         outcome = run_sweep(
@@ -173,7 +145,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             jobs=args.jobs,
             impair=args.impair,
             cache_dir=cache_dir,
-            collect_timings=args.timings,
+            collect_timings=args.timings or args.profile_engine,
             **modes,
         )
     except ValueError as error:
@@ -182,6 +154,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     failures = 0
     for result in outcome.figures:
         print(result.render())
+        if args.profile_engine:
+            print(render(outcome.profiles[result.figure_id]))
         if args.csv:
             import os
 

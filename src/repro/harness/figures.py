@@ -1,25 +1,20 @@
 """The per-figure experiment registry.
 
-One function per table/figure of the paper's evaluation (reconstructed —
-see DESIGN.md's mismatch note). Each returns a
+One entry per table/figure of the paper's evaluation (reconstructed —
+see DESIGN.md's mismatch note), in :data:`CELL_MODEL`. Each figure has a
+two-phase form: ``cells()`` enumerates its independent simulations as
+picklable :class:`~repro.harness.runner.CellSpec`\\ s and
+``assemble(results)`` folds their results into a
 :class:`~repro.harness.report.FigureResult` carrying the paper-style rows
 plus machine-checked *shape* assertions: dilated-vs-baseline agreement,
-who wins, where knees fall. Benchmarks and the CLI both consume this
-registry.
-
-Since the parallel sweep runner, every figure exists in a two-phase form
-(:data:`CELL_MODEL`): ``cells()`` enumerates the figure's independent
-simulations as picklable :class:`~repro.harness.runner.CellSpec`\\ s and
-``assemble(results)`` folds their results into the FigureResult. The
-classic one-shot functions in :data:`FIGURES` are thin wrappers that
-execute their own cells in-process and assemble — same code path, same
-bytes — so ``run_figure`` behaves exactly as it always did while
-``repro-figure --jobs N`` fans the same cells out across processes.
+who wins, where knees fall. :func:`repro.harness.runner.run_sweep` is the
+one way a figure executes — in-process at ``jobs=1``, over a worker pool
+otherwise, with byte-identical output either way.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..core.dilation import (
     NetworkProfile,
@@ -33,9 +28,9 @@ from ..stats.cdf import ks_distance, percentile
 from .ascii_chart import line_chart
 from .experiments import relative_error
 from .report import FigureResult, Table
-from .runner import CellSpec, FigureCells, execute_cells_inline
+from .runner import CellSpec, FigureCells
 
-__all__ = ["FIGURES", "CELL_MODEL", "figure_ids", "run_figure"]
+__all__ = ["CELL_MODEL", "figure_ids"]
 
 #: Agreement tolerance between a dilated run and its scaled baseline.
 #: The substrate is deterministic, so this is float-jitter headroom only.
@@ -60,6 +55,7 @@ def _table1_cells() -> List[CellSpec]:
 
 
 def _table1_assemble(results: Mapping[str, Any]) -> FigureResult:
+    """Table 1: what a fixed physical testbed looks like under dilation."""
     physical = NetworkProfile(mbps(100), ms(10), cpu_cycles_per_second=1e9)
     rows = resource_scaling_rows(physical, tdfs=[1, 10, 100, 1000])
     table = Table(
@@ -93,11 +89,6 @@ def _table1_assemble(results: Mapping[str, Any]) -> FigureResult:
     return result
 
 
-def table1_resource_scaling() -> FigureResult:
-    """Table 1: what a fixed physical testbed looks like under dilation."""
-    return _run_inline("table1")
-
-
 # =============================================================== table2
 
 _TABLE2_CASES = [
@@ -116,6 +107,7 @@ def _table2_cells() -> List[CellSpec]:
 
 
 def _table2_assemble(results: Mapping[str, Any]) -> FigureResult:
+    """Table 2: CPU-bound task timing with and without share compensation."""
     table = Table(
         ["TDF", "VMM share", "virtual time", "physical time",
          "perceived speedup"],
@@ -161,11 +153,6 @@ def _table2_assemble(results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def table2_cpu_dilation() -> FigureResult:
-    """Table 2: CPU-bound task timing with and without share compensation."""
-    return _run_inline("table2")
-
-
 # ================================================================= fig3
 
 _FIG3_RTTS_MS = [10, 20, 40, 80, 160]
@@ -183,6 +170,7 @@ def _fig3_cells() -> List[CellSpec]:
 
 
 def _fig3_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Figure 3: TCP throughput vs RTT; dilated curves coincide with TDF 1."""
     rtts_ms = _FIG3_RTTS_MS
     tdfs = _FIG3_TDFS
     table = Table(
@@ -226,11 +214,6 @@ def _fig3_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def fig3_throughput_vs_rtt() -> FigureResult:
-    """Figure 3: TCP throughput vs RTT; dilated curves coincide with TDF 1."""
-    return _run_inline("fig3")
-
-
 # ================================================================= fig4
 
 _FIG4_BANDWIDTHS_MBPS = [1, 10, 50, 200]
@@ -248,6 +231,7 @@ def _fig4_cells() -> List[CellSpec]:
 
 
 def _fig4_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Figure 4: TCP throughput vs perceived bottleneck bandwidth."""
     bandwidths_mbps = _FIG4_BANDWIDTHS_MBPS
     tdfs = _FIG4_TDFS
     table = Table(
@@ -293,11 +277,6 @@ def _fig4_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def fig4_throughput_vs_bandwidth() -> FigureResult:
-    """Figure 4: TCP throughput vs perceived bottleneck bandwidth."""
-    return _run_inline("fig4")
-
-
 # ================================================================= fig5
 
 _FIG5_TDFS = [1, 10, 100]
@@ -314,6 +293,7 @@ def _fig5_cells() -> List[CellSpec]:
 
 
 def _fig5_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Figure 5: packet interarrival distribution preserved under dilation."""
     perceived = NetworkProfile.from_rtt(mbps(10), ms(40))
     tdfs = _FIG5_TDFS
     runs = {k: cell_results[f"tdf{k}"] for k in tdfs}
@@ -348,11 +328,6 @@ def _fig5_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def fig5_interarrival_distribution() -> FigureResult:
-    """Figure 5: packet interarrival distribution preserved under dilation."""
-    return _run_inline("fig5")
-
-
 # ================================================================= fig6
 
 
@@ -376,6 +351,7 @@ def _fig6_cells() -> List[CellSpec]:
 
 
 def _fig6_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Figure 6: bottleneck sharing among competing flows is preserved."""
     tdfs = _FIG6_TDFS
     flows = _FIG6_FLOWS
     runs = {k: cell_results[f"tdf{k}"] for k in tdfs}
@@ -413,11 +389,6 @@ def _fig6_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
         runs[1].goodput_bps >= 0.7 * mbps(50),
     )
     return figure
-
-
-def fig6_multiflow_fairness() -> FigureResult:
-    """Figure 6: bottleneck sharing among competing flows is preserved."""
-    return _run_inline("fig6")
 
 
 # ============================================================ fig7 / fig8
@@ -459,6 +430,7 @@ def _fig7_cells() -> List[CellSpec]:
 
 
 def _fig7_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Figure 7: web server throughput vs offered load, TDF 1 vs 10."""
     sweep = _web_sweep(cell_results)
     table = Table(
         ["offered (req/s)", "TDF 1 (req/s)", "TDF 10 (req/s)", "rel err"],
@@ -496,16 +468,12 @@ def _fig7_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def fig7_web_throughput() -> FigureResult:
-    """Figure 7: web server throughput vs offered load, TDF 1 vs 10."""
-    return _run_inline("fig7")
-
-
 def _fig8_cells() -> List[CellSpec]:
     return _web_cells("fig8")
 
 
 def _fig8_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Figure 8: response time vs offered load, TDF 1 vs 10."""
     sweep = _web_sweep(cell_results)
     table = Table(
         ["offered (req/s)", "TDF 1 mean (ms)", "TDF 10 mean (ms)",
@@ -553,11 +521,6 @@ def _fig8_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def fig8_web_response_time() -> FigureResult:
-    """Figure 8: response time vs offered load, TDF 1 vs 10."""
-    return _run_inline("fig8")
-
-
 # ================================================================= fig9
 
 
@@ -571,6 +534,7 @@ def _fig9_cells() -> List[CellSpec]:
 
 
 def _fig9_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Figure 9: BitTorrent download-time CDF, TDF 1 vs 10."""
     base = cell_results["tdf1"]
     dilated = cell_results["tdf10"]
     table = Table(
@@ -634,11 +598,6 @@ def _fig9_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def fig9_bittorrent_cdf() -> FigureResult:
-    """Figure 9: BitTorrent download-time CDF, TDF 1 vs 10."""
-    return _run_inline("fig9")
-
-
 # ================================================================ fig10
 
 _FIG10_TARGETS_GBPS = (2.5, 5.0, 10.0)
@@ -659,6 +618,12 @@ def _fig10_cells() -> List[CellSpec]:
 
 
 def _fig10_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Figure 10: emulating multi-gigabit paths on sub-gigabit 'hardware'.
+
+    The headline trick: at TDF 10 the physical substrate never carries
+    more than one tenth of the perceived rate, yet the guests observe (and
+    TCP fills) a 10 Gbps path — hardware that, in 2006, did not exist.
+    """
     tdf = _FIG10_TDF
     table = Table(
         ["perceived b/w", "physical b/w", "TDF 1 (Gbps)", "TDF 10 (Gbps)",
@@ -696,16 +661,6 @@ def _fig10_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def fig10_beyond_gigabit() -> FigureResult:
-    """Figure 10: emulating multi-gigabit paths on sub-gigabit 'hardware'.
-
-    The headline trick: at TDF 10 the physical substrate never carries
-    more than one tenth of the perceived rate, yet the guests observe (and
-    TCP fills) a 10 Gbps path — hardware that, in 2006, did not exist.
-    """
-    return _run_inline("fig10")
-
-
 # ============================================================ ablation1
 
 
@@ -725,6 +680,12 @@ def _ablation1_cells() -> List[CellSpec]:
 
 
 def _ablation1_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Ablation A1: dilation without rescaling the physical network is wrong.
+
+    Negative control for every equivalence check above: run TDF 10 guests
+    over the *unscaled* target network. Guests then perceive a 10x-faster,
+    10x-shorter path than the target, and results diverge from baseline.
+    """
     base = cell_results["base"]
     wrong = cell_results["wrong"]
     table = Table(
@@ -748,16 +709,6 @@ def _ablation1_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def ablation_misscaled() -> FigureResult:
-    """Ablation A1: dilation without rescaling the physical network is wrong.
-
-    Negative control for every equivalence check above: run TDF 10 guests
-    over the *unscaled* target network. Guests then perceive a 10x-faster,
-    10x-shorter path than the target, and results diverge from baseline.
-    """
-    return _run_inline("ablation1")
-
-
 # ============================================================ ablation2
 
 
@@ -770,6 +721,7 @@ def _ablation2_cells() -> List[CellSpec]:
 
 
 def _ablation2_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Ablation A2: changing the TDF at runtime re-scales perception live."""
     run = cell_results["schedule"]
     rate1, rate2 = run.phase_rates_bps
     table = Table(
@@ -788,11 +740,6 @@ def _ablation2_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def ablation_dynamic_tdf() -> FigureResult:
-    """Ablation A2: changing the TDF at runtime re-scales perception live."""
-    return _run_inline("ablation2")
-
-
 # ================================================================= ext1
 
 
@@ -806,6 +753,12 @@ def _ext1_cells() -> List[CellSpec]:
 
 
 def _ext1_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Extension E1: equivalence holds with competing cross traffic.
+
+    The paper's validation used clean paths; real experiments share links.
+    A TCP flow competes with a CBR stream at 30% of the bottleneck; both
+    run inside dilated guests, and the dilated run must match baseline.
+    """
     base = cell_results["tdf1"]
     dilated = cell_results["tdf10"]
     table = Table(
@@ -834,16 +787,6 @@ def _ext1_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def ext1_cross_traffic() -> FigureResult:
-    """Extension E1: equivalence holds with competing cross traffic.
-
-    The paper's validation used clean paths; real experiments share links.
-    A TCP flow competes with a CBR stream at 30% of the bottleneck; both
-    run inside dilated guests, and the dilated run must match baseline.
-    """
-    return _run_inline("ext1")
-
-
 # ================================================================= ext2
 
 
@@ -857,6 +800,12 @@ def _ext2_cells() -> List[CellSpec]:
 
 
 def _ext2_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Extension E2: multiple dilated guests multiplexed on one machine.
+
+    The paper ran several dilated VMs per physical host. Three guest
+    senders share one machine uplink; contention for the shared NIC must
+    be perceived identically under dilation.
+    """
     base = cell_results["tdf1"]
     dilated = cell_results["tdf10"]
     table = Table(
@@ -895,16 +844,6 @@ def _ext2_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def ext2_consolidation() -> FigureResult:
-    """Extension E2: multiple dilated guests multiplexed on one machine.
-
-    The paper ran several dilated VMs per physical host. Three guest
-    senders share one machine uplink; contention for the shared NIC must
-    be perceived identically under dilation.
-    """
-    return _run_inline("ext2")
-
-
 # ================================================================= ext3
 
 
@@ -921,6 +860,14 @@ def _ext3_cells() -> List[CellSpec]:
 
 
 def _ext3_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Extension E3: a mixed-resource guest program, phase by phase.
+
+    A "build job" (disk read → compile → disk write → TCP upload) inside a
+    guest, timed with the guest's own clock. With CPU and disk compensated
+    (1/TDF share/throttle) every phase matches the baseline; without
+    compensation CPU and disk appear TDF-times faster while the network
+    phase — the thing being emulated — stays on target.
+    """
     base = cell_results["base"]
     compensated = cell_results["compensated"]
     uncompensated = cell_results["uncompensated"]
@@ -969,18 +916,6 @@ def _ext3_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def ext3_guest_program() -> FigureResult:
-    """Extension E3: a mixed-resource guest program, phase by phase.
-
-    A "build job" (disk read → compile → disk write → TCP upload) inside a
-    guest, timed with the guest's own clock. With CPU and disk compensated
-    (1/TDF share/throttle) every phase matches the baseline; without
-    compensation CPU and disk appear TDF-times faster while the network
-    phase — the thing being emulated — stays on target.
-    """
-    return _run_inline("ext3")
-
-
 # ================================================================= ext4
 
 _EXT4_TDFS = [5, 10]
@@ -1010,6 +945,16 @@ def _ext4_cells(impair: Optional[str] = None) -> List[CellSpec]:
 
 def _ext4_assemble(cell_results: Mapping[str, Any],
                    impair: Optional[str] = None) -> FigureResult:
+    """Extension E4: dilation equivalence over a lossy physical path.
+
+    The paper's validation matters most where the network misbehaves. A
+    TDF-k guest over an impaired bottleneck must reproduce the scaled
+    baseline's goodput and retransmit counts: per-packet impairment
+    decisions are seed-deterministic and time-free, so the dilated run
+    faces the identical loss pattern. Default matrix: Bernoulli p=1% and
+    an equivalent-rate Gilbert–Elliott burst model, TDF ∈ {5, 10}; pass an
+    ``--impair`` spec to run a single custom impairment instead.
+    """
     specs = _ext4_specs(impair)
     tdfs = _EXT4_TDFS
     table = Table(
@@ -1063,20 +1008,6 @@ def _ext4_assemble(cell_results: Mapping[str, Any],
     return figure
 
 
-def ext4_lossy_equivalence(impair: Optional[str] = None) -> FigureResult:
-    """Extension E4: dilation equivalence over a lossy physical path.
-
-    The paper's validation matters most where the network misbehaves. A
-    TDF-k guest over an impaired bottleneck must reproduce the scaled
-    baseline's goodput and retransmit counts: per-packet impairment
-    decisions are seed-deterministic and time-free, so the dilated run
-    faces the identical loss pattern. Default matrix: Bernoulli p=1% and
-    an equivalent-rate Gilbert–Elliott burst model, TDF ∈ {5, 10}; pass an
-    ``--impair`` spec to run a single custom impairment instead.
-    """
-    return _run_inline("ext4", impair=impair)
-
-
 # ================================================================= ext5
 
 _EXT5_TDF = 10
@@ -1121,6 +1052,16 @@ def _ext5_cells(impair: Optional[str] = None) -> List[CellSpec]:
 
 def _ext5_assemble(cell_results: Mapping[str, Any],
                    impair: Optional[str] = None) -> FigureResult:
+    """Extension E5: the BitTorrent macro-benchmark at swarm scale.
+
+    Sweeps swarm size (25/100/250 leechers) x TDF {1, 10} on a dilated
+    star and compares download-completion-time CDF quantiles on the
+    virtual-time axis — the paper's headline swarm experiment grown to
+    population sizes where tracker lifecycle bugs and quadratic peer hot
+    paths used to hang or dominate. Pass ``--impair`` (e.g. a
+    Gilbert–Elliott spec) to run the same sweep with the seed's uplink
+    impaired.
+    """
     from .validate import compare_metrics
 
     table = Table(
@@ -1195,20 +1136,6 @@ def _ext5_assemble(cell_results: Mapping[str, Any],
     return figure
 
 
-def ext5_swarm_scale(impair: Optional[str] = None) -> FigureResult:
-    """Extension E5: the BitTorrent macro-benchmark at swarm scale.
-
-    Sweeps swarm size (25/100/250 leechers) x TDF {1, 10} on a dilated
-    star and compares download-completion-time CDF quantiles on the
-    virtual-time axis — the paper's headline swarm experiment grown to
-    population sizes where tracker lifecycle bugs and quadratic peer hot
-    paths used to hang or dominate. Pass ``--impair`` (e.g. a
-    Gilbert–Elliott spec) to run the same sweep with the seed's uplink
-    impaired.
-    """
-    return _run_inline("ext5", impair=impair)
-
-
 # ================================================================= ext6
 
 _EXT6_TDF = 10
@@ -1259,6 +1186,16 @@ def _ext6_cells() -> List[CellSpec]:
 
 
 def _ext6_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Extension E6: dilation equivalence on a time-varying topology.
+
+    A Starlink-like path whose space segment follows a synthesized LEO
+    handover schedule (periodic outages, delay steps, capacity dips —
+    all indexed by *virtual* time). Sweeps TDF {1, 10} x two traces for
+    a media stream with a competing bulk TCP flow, plus a small
+    BitTorrent swarm whose seed uplink rides the same schedule, and
+    gates frame-delay / completion-time CDF quantiles and KS distance
+    on the virtual axis.
+    """
     from .validate import compare_metrics
 
     table = Table(
@@ -1411,46 +1348,12 @@ def _ext6_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def ext6_starlink() -> FigureResult:
-    """Extension E6: dilation equivalence on a time-varying topology.
-
-    A Starlink-like path whose space segment follows a synthesized LEO
-    handover schedule (periodic outages, delay steps, capacity dips —
-    all indexed by *virtual* time). Sweeps TDF {1, 10} x two traces for
-    a media stream with a competing bulk TCP flow, plus a small
-    BitTorrent swarm whose seed uplink rides the same schedule, and
-    gates frame-delay / completion-time CDF quantiles and KS distance
-    on the virtual axis.
-    """
-    return _run_inline("ext6")
-
-
 # ============================================================== registry
 
 
-FIGURES: Dict[str, Callable[[], FigureResult]] = {
-    "table1": table1_resource_scaling,
-    "table2": table2_cpu_dilation,
-    "fig3": fig3_throughput_vs_rtt,
-    "fig4": fig4_throughput_vs_bandwidth,
-    "fig5": fig5_interarrival_distribution,
-    "fig6": fig6_multiflow_fairness,
-    "fig7": fig7_web_throughput,
-    "fig8": fig8_web_response_time,
-    "fig9": fig9_bittorrent_cdf,
-    "fig10": fig10_beyond_gigabit,
-    "ablation1": ablation_misscaled,
-    "ablation2": ablation_dynamic_tdf,
-    "ext1": ext1_cross_traffic,
-    "ext2": ext2_consolidation,
-    "ext3": ext3_guest_program,
-    "ext4": ext4_lossy_equivalence,
-    "ext5": ext5_swarm_scale,
-    "ext6": ext6_starlink,
-}
-
-#: The two-phase (cells, assemble) form of every figure — what the
-#: parallel sweep runner consumes. Keys match :data:`FIGURES`.
+#: Every figure in its two-phase (cells, assemble) form, in paper order —
+#: what the sweep runner executes. Each ``assemble`` docstring's first
+#: line is the figure's ``repro-figure --list`` entry.
 CELL_MODEL: Dict[str, FigureCells] = {
     "table1": FigureCells(_table1_cells, _table1_assemble),
     "table2": FigureCells(_table2_cells, _table2_assemble),
@@ -1467,65 +1370,12 @@ CELL_MODEL: Dict[str, FigureCells] = {
     "ext1": FigureCells(_ext1_cells, _ext1_assemble),
     "ext2": FigureCells(_ext2_cells, _ext2_assemble),
     "ext3": FigureCells(_ext3_cells, _ext3_assemble),
-    "ext4": FigureCells(_ext4_cells, _ext4_assemble, has_impair_axis=True),
-    "ext5": FigureCells(_ext5_cells, _ext5_assemble, has_impair_axis=True),
+    "ext4": FigureCells(_ext4_cells, _ext4_assemble),
+    "ext5": FigureCells(_ext5_cells, _ext5_assemble),
     "ext6": FigureCells(_ext6_cells, _ext6_assemble),
 }
 
 
-def _run_inline(figure_id: str, impair: Optional[str] = None) -> FigureResult:
-    """Execute one figure's cells in-process (today's path) and assemble."""
-    model = CELL_MODEL[figure_id]
-    cells = model.cells(impair)
-    results = execute_cells_inline(cells)
-    return model.build(
-        {spec.key: results[spec.token()] for spec in cells}, impair
-    )
-
-
 def figure_ids() -> List[str]:
     """All known experiment ids, in paper order."""
-    return list(FIGURES)
-
-
-def run_figure(
-    figure_id: str,
-    profile_engine: bool = False,
-    impair: Optional[str] = None,
-) -> FigureResult:
-    """Run one experiment by id, sequentially in this process.
-
-    With ``profile_engine=True`` every simulator the experiment constructs
-    is profiled (events/sec, heap hygiene, per-component histogram) and the
-    rendered profile is attached as ``result.engine_profile``. Profiling
-    never perturbs results — figures are bit-identical either way. Note
-    the in-process memo: cells already executed in this process (by an
-    earlier figure or sweep) are not re-simulated, so a profile covers
-    only the cells this call actually ran.
-
-    ``impair`` is an :meth:`ImpairmentSpec.parse` string forwarded to
-    experiments that take an impairment axis (currently ``ext4``); passing
-    it to any other experiment is an error rather than a silent no-op.
-
-    For multi-figure parallel execution, caching, and per-cell timings use
-    :func:`repro.harness.runner.run_sweep` (the ``repro-figure --jobs``
-    path), which produces byte-identical figures.
-    """
-    try:
-        model = CELL_MODEL[figure_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown figure {figure_id!r}; known: {', '.join(FIGURES)}"
-        ) from None
-    if impair is not None and not model.has_impair_axis:
-        raise ValueError(
-            f"experiment {figure_id!r} has no --impair axis"
-        )
-    if not profile_engine:
-        return _run_inline(figure_id, impair=impair)
-    from ..stats.engineprof import profiled
-
-    with profiled() as profiler:
-        result = _run_inline(figure_id, impair=impair)
-    result.engine_profile = profiler.render()
-    return result
+    return list(CELL_MODEL)

@@ -78,9 +78,6 @@ class FigureResult:
     #: Optional ASCII rendering of the figure's series (printed after the
     #: table — the paper shows graphs, so we do too).
     chart: Optional[str] = None
-    #: Optional engine-profile text (``EngineProfiler.render()``) captured
-    #: while the figure ran; appended to the report when present.
-    engine_profile: Optional[str] = None
 
     def check(self, description: str, passed: bool) -> None:
         """Record a shape check."""
@@ -103,8 +100,6 @@ class FigureResult:
         for check in self.checks:
             marker = "PASS" if check.passed else "FAIL"
             parts.append(f"  [{marker}] {check.description}")
-        if self.engine_profile:
-            parts.append(self.engine_profile)
         return "\n".join(parts)
 
     def write_csv(self, directory) -> str:

@@ -21,7 +21,9 @@ This module exploits that:
   version, so re-running ``all`` after an interrupt — or after editing
   one figure's parameters — re-executes only the stale cells;
 * :class:`CellTiming` — per-cell wall-clock / peak-RSS / engine-event
-  accounting behind ``repro-figure --timings``.
+  accounting behind ``repro-figure --timings``, and per figure one
+  engine profile merged over the cells it executed
+  (``repro-figure --profile-engine``).
 
 Determinism argument, in one paragraph: a cell's result depends only on
 its spec (the runner's keyword arguments), never on wall-clock time,
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import os
 import pickle
 import sys
@@ -45,8 +48,10 @@ import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from ..stats.engineprof import merge, profiled
 from ..trace.spec import TraceSpec
 from .modes import AXES, apply_modes, capable_runners, requested_modes
 from .report import FigureResult, Table
@@ -59,7 +64,6 @@ __all__ = [
     "SweepOutcome",
     "canonical",
     "execute_cell",
-    "execute_cells_inline",
     "run_sweep",
     "DEFAULT_CACHE_DIR",
 ]
@@ -158,41 +162,50 @@ def canonical(value: Any) -> str:
 class FigureCells:
     """A figure's two-phase form: enumerate cells, then assemble results.
 
-    ``enumerate()`` returns the figure's :class:`CellSpec` list (taking the
-    ``--impair`` string when the figure has that axis); ``assemble()``
-    receives ``{cell key: runner result}`` and builds the
-    :class:`FigureResult` exactly as the sequential path always did.
-    Pure-computation figures (table1) enumerate zero cells.
+    ``enumerate()`` returns the figure's :class:`CellSpec` list;
+    ``assemble()`` receives ``{cell key: runner result}`` and builds the
+    :class:`FigureResult`. A figure has an ``--impair`` axis exactly when
+    its ``enumerate`` takes an ``impair`` parameter; both phases then
+    receive the ``--impair`` string. Pure-computation figures (table1)
+    enumerate zero cells.
     """
 
     enumerate: Callable[..., List[CellSpec]]
     assemble: Callable[..., FigureResult]
-    has_impair_axis: bool = False
+
+    @cached_property
+    def takes_impair(self) -> bool:
+        """Whether the figure has an ``--impair`` axis (from the signature)."""
+        return "impair" in inspect.signature(self.enumerate).parameters
 
     def cells(self, impair: Optional[str] = None) -> List[CellSpec]:
-        if self.has_impair_axis:
-            return self.enumerate(impair)
-        return self.enumerate()
+        return self.enumerate(*_given(impair))
 
     def build(self, results: Mapping[str, Any],
               impair: Optional[str] = None) -> FigureResult:
-        if self.has_impair_axis:
-            return self.assemble(results, impair)
-        return self.assemble(results)
+        return self.assemble(results, *_given(impair))
+
+
+def _given(impair: Optional[str]) -> Tuple[str, ...]:
+    """``impair`` as positional arguments: none when it is not given."""
+    return () if impair is None else (impair,)
 
 
 # ------------------------------------------------------------------ execution
 
 
-def execute_cell(spec: CellSpec,
-                 profile: bool = False) -> Tuple[Any, Optional[int]]:
-    """Run one cell in this process; returns (result, engine events).
+def execute_cell(
+    spec: CellSpec, profile: bool = False,
+) -> Tuple[Any, Optional[Dict[str, Any]]]:
+    """Run one cell in this process; returns (result, engine profile).
 
     With ``profile=True`` the cell runs under its own
-    :class:`~repro.stats.engineprof.EngineProfiler` and the executed-event
-    count is returned (profiling never perturbs results). Do not profile
-    from inside an outer :func:`~repro.stats.engineprof.profiled` block —
-    the engine has a single default-profiler slot.
+    :class:`~repro.stats.engineprof.EngineProfiler` and that profiler's
+    :meth:`~repro.stats.engineprof.EngineProfiler.snapshot` is returned —
+    a plain dict, so it pickles back from a pool worker (profiling never
+    perturbs results). Do not profile from inside an outer
+    :func:`~repro.stats.engineprof.profiled` block — the engine has a
+    single default-profiler slot.
     """
     from .experiments import RUNNERS
 
@@ -204,47 +217,15 @@ def execute_cell(spec: CellSpec,
         ) from None
     if not profile:
         return fn(**spec.kwargs), None
-    from ..stats.engineprof import profiled
-
     with profiled() as profiler:
         value = fn(**spec.kwargs)
-    events = profiler.events
+    snapshot = profiler.snapshot()
     # Sharded cells run their engines in worker processes the in-process
     # profiler cannot observe; the workers report their executed-event
     # counts through ``shard_stats``, so fold those in.
     for stats in getattr(value, "shard_stats", None) or []:
-        events += stats["events_processed"]
-    return value, events
-
-
-#: Process-local memo for the legacy in-process path (``run_figure``):
-#: token -> result. Generalises the old fig7/fig8 web-sweep memo to every
-#: cell — ``repro-figure all`` and a benchmark session never run the same
-#: deterministic simulation twice in one process.
-_MEMO: Dict[str, Any] = {}
-
-
-def execute_cells_inline(specs: List[CellSpec],
-                         memo: bool = True) -> Dict[str, Any]:
-    """Run cells sequentially in-process; returns ``{token: result}``.
-
-    This is "today's path": no pool, no pickling, spec order. With
-    ``memo=True`` results are remembered for the life of the process
-    (sound because cells are deterministic functions of their token).
-    """
-    out: Dict[str, Any] = {}
-    for spec in specs:
-        token = spec.token()
-        if token in out:
-            continue
-        if memo and token in _MEMO:
-            out[token] = _MEMO[token]
-            continue
-        value, _ = execute_cell(spec)
-        if memo:
-            _MEMO[token] = value
-        out[token] = value
-    return out
+        snapshot["events"] += stats["events_processed"]
+    return value, snapshot
 
 
 def _peak_rss_kib() -> int:
@@ -259,13 +240,13 @@ def _peak_rss_kib() -> int:
     return int(peak)
 
 
-def _pool_task(spec: CellSpec, profile: bool) -> Tuple[str, Any, float, int,
-                                                       Optional[int]]:
+def _pool_task(spec: CellSpec, profile: bool) -> Tuple[
+        str, Any, float, int, Optional[Dict[str, Any]]]:
     """Worker-side cell execution (top-level for picklability)."""
     started = time.perf_counter()
-    value, events = execute_cell(spec, profile=profile)
+    value, snapshot = execute_cell(spec, profile=profile)
     wall = time.perf_counter() - started
-    return spec.token(), value, wall, _peak_rss_kib(), events
+    return spec.token(), value, wall, _peak_rss_kib(), snapshot
 
 
 # --------------------------------------------------------------------- cache
@@ -352,6 +333,11 @@ class SweepOutcome:
     #: Per traced cell, ``(figure_id, key, trace events)`` in spec order —
     #: the deterministic merge order, independent of ``--jobs``.
     traces: List[Tuple[str, str, List[Any]]] = field(default_factory=list)
+    #: With ``collect_timings``: per figure id, the engine-profile snapshot
+    #: merged (:func:`repro.stats.engineprof.merge`) over the cells that
+    #: figure executed, in spec order. Cached cells, and cells another
+    #: figure of the sweep executed first, are not in it.
+    profiles: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
@@ -465,7 +451,7 @@ def run_sweep(
                 f"unknown figure {figure_id!r}; known: "
                 + ", ".join(CELL_MODEL)
             ) from None
-        if impair is not None and not model.has_impair_axis:
+        if impair is not None and not model.takes_impair:
             raise ValueError(f"experiment {figure_id!r} has no --impair axis")
         cells, refused = apply_modes(model.cells(impair), modes)
         for axis, keys in refused.items():
@@ -480,8 +466,26 @@ def run_sweep(
 
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     results: Dict[str, Any] = {}
+    snapshots: Dict[str, Dict[str, Any]] = {}
     timing_by_token: Dict[str, CellTiming] = {}
     pending: List[CellSpec] = []
+
+    def record(spec: CellSpec, value: Any,
+                snapshot: Optional[Dict[str, Any]], wall: float,
+                rss: int) -> None:
+        token = spec.token()
+        results[token] = value
+        if snapshot is not None:
+            snapshots[token] = snapshot
+        timing_by_token[token] = CellTiming(
+            spec.figure_id, spec.key, token, cached=False, wall_s=wall,
+            peak_rss_kib=rss,
+            events=snapshot["events"] if snapshot is not None else None,
+            recorder_events=_recorder_events(spec, value),
+        )
+        if cache is not None:
+            cache.store(token, value)
+
     for token, spec in unique.items():
         if cache is not None:
             hit, value = cache.load(token)
@@ -507,28 +511,14 @@ def run_sweep(
                 done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
                 for future in done:
                     spec = futures[future]
-                    token, value, wall, rss, events = future.result()
-                    results[token] = value
-                    timing_by_token[token] = CellTiming(
-                        spec.figure_id, spec.key, token, cached=False,
-                        wall_s=wall, peak_rss_kib=rss, events=events,
-                        recorder_events=_recorder_events(spec, value),
-                    )
-                    if cache is not None:
-                        cache.store(token, value)
+                    token, value, wall, rss, snapshot = future.result()
+                    record(spec, value, snapshot, wall, rss)
     else:
         for spec in pending:
             cell_started = time.perf_counter()
-            value, events = execute_cell(spec, profile=collect_timings)
-            results[spec.token()] = value
-            timing_by_token[spec.token()] = CellTiming(
-                spec.figure_id, spec.key, spec.token(), cached=False,
-                wall_s=time.perf_counter() - cell_started,
-                peak_rss_kib=_peak_rss_kib(), events=events,
-                recorder_events=_recorder_events(spec, value),
-            )
-            if cache is not None:
-                cache.store(spec.token(), value)
+            value, snapshot = execute_cell(spec, profile=collect_timings)
+            record(spec, value, snapshot,
+                    time.perf_counter() - cell_started, _peak_rss_kib())
 
     figures = [
         CELL_MODEL[figure_id].build(
@@ -551,6 +541,15 @@ def run_sweep(
                         figure_id, spec.key,
                         list(getattr(value, "trace_events", []) or []),
                     ))
+    profiles: Dict[str, Dict[str, Any]] = {}
+    if collect_timings:
+        profiles = {
+            figure_id: merge(
+                snapshots[token] for token, spec in unique.items()
+                if spec.figure_id == figure_id and token in snapshots
+            )
+            for figure_id in figure_ids
+        }
     return SweepOutcome(
         figures=figures,
         timings=timings,
@@ -560,4 +559,5 @@ def run_sweep(
         jobs=jobs,
         wall_s=time.perf_counter() - started,
         traces=traces,
+        profiles=profiles,
     )

@@ -120,7 +120,6 @@ class ShapedInterface:
         self._backlog: Deque[Packet] = deque()
         self._draining = False
         self.shaped_packets = 0
-        self.dropped_packets = 0
 
     def fluid_transparent(self) -> bool:
         """Never fluid-eligible: token-bucket pacing is a per-packet
@@ -135,13 +134,11 @@ class ShapedInterface:
             self.max_backlog_packets is not None
             and len(self._backlog) >= self.max_backlog_packets
         ):
-            # Keep the legacy attribute, but charge the drop to the wrapped
-            # interface's unified taxonomy too: a "shaper" reason lands in
-            # ``interface.drops``, mirrors into ``sim.counters["drop.shaper"]``
-            # and fires the interface's drop taps, so FlowMonitor's
-            # ``interface_drops``/``drops_by_reason`` see shaper overflows
-            # like any other egress drop.
-            self.dropped_packets += 1
+            # Charge the drop to the wrapped interface's unified taxonomy:
+            # a "shaper" reason lands in ``interface.drops``, mirrors into
+            # ``sim.counters["drop.shaper"]`` and fires the interface's drop
+            # taps, so FlowMonitor's ``interface_drops``/``drops_by_reason``
+            # see shaper overflows like any other egress drop.
             self.interface._drop(packet, "shaper")
             return
         self._backlog.append(packet)

@@ -23,8 +23,12 @@ Attach explicitly to one simulator::
 or profile everything an experiment runner builds internally::
 
     with profiled() as profiler:
-        run_figure("fig3")
+        run_bulk(perceived, tdf=10)
     print(profiler.render())
+
+A :meth:`~EngineProfiler.snapshot` is a plain dict, so it crosses a
+process boundary; :func:`merge` folds several (one per sweep cell, say)
+into one, and :func:`render` prints any snapshot.
 
 Profiling adds one branch plus one dict update per executed event while
 attached, and exactly nothing when not — figures are bit-identical with
@@ -35,11 +39,11 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..simnet.engine import Simulator, set_default_profiler
 
-__all__ = ["EngineProfiler", "profiled"]
+__all__ = ["EngineProfiler", "merge", "profiled", "render"]
 
 
 class EngineProfiler:
@@ -178,53 +182,92 @@ class EngineProfiler:
         }
 
     def render(self, top: int = 12) -> str:
-        """Human-readable profile (the harness appends this to reports)."""
-        snap = self.snapshot()
-        lines = [
-            "engine profile:",
-            f"  events executed   {snap['events']:>12,}",
-            f"  wall time         {snap['wall_s']:>12.3f} s",
-            f"  events/sec        {snap['events_per_sec']:>12,.0f}",
-            f"  simulators        {snap['simulators']:>12}",
-            f"  peak heap length  {snap['max_heap_len']:>12,}",
-            f"  compactions       {snap['compactions']:>12,}",
-            f"  dead entries      {snap['dead_entries_reaped']:>12,}",
-        ]
-        shard = snap["shard"]
-        if shard:
-            lines.append("  shard barrier:")
-            width = max(len(k) for k in shard)
-            for name, count in shard.items():
-                lines.append(f"    {name:<{width}}  {count:>10,}")
-        fluid = snap["fluid"]
-        if fluid:
-            lines.append("  fluid fast path:")
-            width = max(len(k) for k in fluid)
-            for name, count in fluid.items():
-                lines.append(f"    {name:<{width}}  {count:>10,}")
-        realtime = snap["realtime"]
-        if realtime:
-            lines.append("  realtime pacing:")
-            width = max(len(k) for k in realtime)
-            for name, count in realtime.items():
-                lines.append(f"    {name:<{width}}  {count:>10,}")
-        counters = {k: v for k, v in snap["counters"].items()
-                    if not k.startswith(("shard.", "fluid.", "realtime."))}
-        if counters:
-            lines.append("  counters:")
-            width = max(len(k) for k in counters)
-            for name, count in counters.items():
-                lines.append(f"    {name:<{width}}  {count:>10,}")
-        histogram = snap["by_component"]
-        if histogram:
-            lines.append(f"  top {min(top, len(histogram))} components:")
-            width = max(len(k) for k in list(histogram)[:top])
-            for name, count in list(histogram.items())[:top]:
-                share = count / snap["events"] if snap["events"] else 0.0
-                lines.append(
-                    f"    {name:<{width}}  {count:>10,}  ({share:5.1%})"
-                )
-        return "\n".join(lines)
+        """Human-readable profile (see :func:`render`)."""
+        return render(self.snapshot(), top)
+
+
+#: Snapshot keys that add up across runs; ``max_heap_len`` takes the max.
+_SUMMED = ("events", "wall_s", "simulators", "live_events", "heap_len",
+           "compactions", "dead_entries_reaped")
+_SECTIONS = ("shard", "fluid", "realtime", "counters", "by_component")
+
+
+def merge(snapshots: Iterable[Dict[str, object]]) -> Dict[str, object]:
+    """Fold :meth:`EngineProfiler.snapshot` dicts into one.
+
+    Counts, counters, the per-component histogram and wall time are
+    summed; the peak heap length is the max. Merging in a fixed order
+    gives a fixed result (histogram ties keep first-seen order).
+    """
+    merged: Dict[str, object] = {key: 0 for key in _SUMMED}
+    merged["max_heap_len"] = 0
+    sections: Dict[str, Dict[str, int]] = {key: {} for key in _SECTIONS}
+    for snap in snapshots:
+        for key in _SUMMED:
+            merged[key] += snap[key]
+        merged["max_heap_len"] = max(merged["max_heap_len"],
+                                     snap["max_heap_len"])
+        for key, section in sections.items():
+            for name, value in snap[key].items():
+                section[name] = section.get(name, 0) + value
+    wall = merged["wall_s"]
+    merged["events_per_sec"] = merged["events"] / wall if wall > 0 else 0.0
+    merged.update(sections)
+    merged["counters"] = dict(sorted(sections["counters"].items()))
+    merged["by_component"] = dict(sorted(
+        sections["by_component"].items(), key=lambda item: item[1],
+        reverse=True,
+    ))
+    return merged
+
+
+def render(snap: Dict[str, object], top: int = 12) -> str:
+    """A snapshot as the human-readable profile the harness prints."""
+    lines = [
+        "engine profile:",
+        f"  events executed   {snap['events']:>12,}",
+        f"  wall time         {snap['wall_s']:>12.3f} s",
+        f"  events/sec        {snap['events_per_sec']:>12,.0f}",
+        f"  simulators        {snap['simulators']:>12}",
+        f"  peak heap length  {snap['max_heap_len']:>12,}",
+        f"  compactions       {snap['compactions']:>12,}",
+        f"  dead entries      {snap['dead_entries_reaped']:>12,}",
+    ]
+    shard = snap["shard"]
+    if shard:
+        lines.append("  shard barrier:")
+        width = max(len(k) for k in shard)
+        for name, count in shard.items():
+            lines.append(f"    {name:<{width}}  {count:>10,}")
+    fluid = snap["fluid"]
+    if fluid:
+        lines.append("  fluid fast path:")
+        width = max(len(k) for k in fluid)
+        for name, count in fluid.items():
+            lines.append(f"    {name:<{width}}  {count:>10,}")
+    realtime = snap["realtime"]
+    if realtime:
+        lines.append("  realtime pacing:")
+        width = max(len(k) for k in realtime)
+        for name, count in realtime.items():
+            lines.append(f"    {name:<{width}}  {count:>10,}")
+    counters = {k: v for k, v in snap["counters"].items()
+                if not k.startswith(("shard.", "fluid.", "realtime."))}
+    if counters:
+        lines.append("  counters:")
+        width = max(len(k) for k in counters)
+        for name, count in counters.items():
+            lines.append(f"    {name:<{width}}  {count:>10,}")
+    histogram = snap["by_component"]
+    if histogram:
+        lines.append(f"  top {min(top, len(histogram))} components:")
+        width = max(len(k) for k in list(histogram)[:top])
+        for name, count in list(histogram.items())[:top]:
+            share = count / snap["events"] if snap["events"] else 0.0
+            lines.append(
+                f"    {name:<{width}}  {count:>10,}  ({share:5.1%})"
+            )
+    return "\n".join(lines)
 
 
 @contextmanager

@@ -1,9 +1,11 @@
 """Tests for the figure registry and CLI (cheap figures only)."""
 
-import pytest
+import contextlib
+import io
 
 from repro.harness import cli
-from repro.harness.figures import FIGURES, figure_ids, run_figure
+from repro.harness.figures import CELL_MODEL, figure_ids
+from repro.harness.runner import run_sweep
 
 
 def test_registry_covers_design_doc():
@@ -15,25 +17,20 @@ def test_registry_covers_design_doc():
     assert set(figure_ids()) == expected
 
 
-def test_run_figure_unknown_id():
-    with pytest.raises(KeyError):
-        run_figure("fig99")
-
-
 def test_table1_runs_and_passes():
-    result = run_figure("table1")
+    [result] = run_sweep(["table1"], jobs=1, cache_dir=None).figures
     assert result.all_passed
     assert result.table.rows
 
 
 def test_table2_runs_and_passes():
-    result = run_figure("table2")
+    [result] = run_sweep(["table2"], jobs=1, cache_dir=None).figures
     assert result.all_passed
 
 
 def test_every_figure_has_docstring():
-    for figure_id, fn in FIGURES.items():
-        assert fn.__doc__, f"{figure_id} has no docstring"
+    for figure_id, model in CELL_MODEL.items():
+        assert model.assemble.__doc__, f"{figure_id} has no docstring"
 
 
 def test_cli_list(capsys):
@@ -62,11 +59,6 @@ def test_cli_runs_table1(capsys):
 def test_cli_impair_rejected_for_figures_without_the_axis(capsys):
     assert cli.main(["fig3", "--impair", "bernoulli:rate=0.01"]) == 2
     assert "no --impair axis" in capsys.readouterr().err
-
-
-def test_run_figure_impair_rejected_without_axis():
-    with pytest.raises(ValueError):
-        run_figure("table1", impair="bernoulli:rate=0.01")
 
 
 def test_cli_csv_export(tmp_path, capsys):
@@ -98,8 +90,45 @@ def test_cli_rejects_zero_shards(capsys):
 
 
 def test_cli_profile_engine_refuses_every_mode(capsys):
-    for flags in (["--shards", "2"], ["--fidelity", "hybrid"],
-                  ["--schedule", "leo"], ["--trace", "bottleneck"]):
-        assert cli.main(["table2", "--profile-engine", *flags]) == 2
-        err = capsys.readouterr().err
-        assert f"{flags[0]} cannot be combined with --profile-engine" in err
+    """Only ``--shards``: a sharded cell's engines live in its shard
+    workers, out of the cell's profiler's reach. Every other mode
+    composes (see test_trace_integration)."""
+    assert cli.main(["table2", "--profile-engine", "--shards", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "--shards cannot be combined with --profile-engine" in err
+
+
+def _cli_stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["table2", "ablation2", "--no-cache", *argv]) == 0
+    return out.getvalue()
+
+
+def _split_profiles(text):
+    """(stdout without the profile blocks, the profile blocks' lines)."""
+    kept, profile, inside = [], [], False
+    for line in text.splitlines():
+        if line == "engine profile:":
+            inside = True
+        elif not line:
+            inside = False
+        (profile if inside else kept).append(line)
+    return kept, profile
+
+
+def test_cli_profile_engine_spans_the_pool():
+    plain = _cli_stdout("--jobs", "1")
+    rows, profile = _split_profiles(_cli_stdout("--jobs", "1",
+                                                "--profile-engine"))
+    pooled_rows, pooled = _split_profiles(_cli_stdout("--jobs", "2",
+                                                      "--profile-engine"))
+    # The figure rows are untouched by profiling, at any --jobs.
+    assert rows == pooled_rows == plain.splitlines()
+    assert profile.count("engine profile:") == 2
+    # Events and the per-component histogram merge to the same profile
+    # whichever process ran each cell; only wall-clock lines differ.
+    timed = ("  wall time", "  events/sec")
+    assert [line for line in profile if not line.startswith(timed)] == \
+        [line for line in pooled if not line.startswith(timed)]
+    assert any("components:" in line for line in profile)

@@ -1,11 +1,11 @@
 """The parallel sweep runner: determinism, dedup, caching, CLI surface.
 
 The load-bearing claim is bit-exactness: ``run_sweep(jobs=N)`` must
-produce byte-identical figure reports to ``jobs=1`` (and to the classic
-``run_figure`` path), because cells are pure functions of their spec. The
-pinned figures deliberately span the risk surface — fig3 (a wide
-multi-TDF bulk sweep), fig9 (the seeded BitTorrent swarm, the most
-event-ordering-sensitive experiment), ext4 (the impairment axis).
+produce byte-identical figure reports to ``jobs=1``, because cells are
+pure functions of their spec. The pinned figures deliberately span the
+risk surface — fig3 (a wide multi-TDF bulk sweep), fig9 (the seeded
+BitTorrent swarm, the most event-ordering-sensitive experiment), ext4
+(the impairment axis).
 """
 
 import dataclasses
@@ -14,14 +14,8 @@ import pickle
 import pytest
 
 from repro.harness import cli
-from repro.harness.figures import CELL_MODEL, FIGURES
-from repro.harness.runner import (
-    CellSpec,
-    ResultCache,
-    canonical,
-    execute_cells_inline,
-    run_sweep,
-)
+from repro.harness.figures import CELL_MODEL
+from repro.harness.runner import CellSpec, ResultCache, canonical, run_sweep
 
 
 class TestCanonical:
@@ -87,9 +81,6 @@ class TestTokens:
                 seen[token] = spec
                 assert spec.figure_id == figure_id
 
-    def test_cell_and_figure_registries_align(self):
-        assert set(CELL_MODEL) == set(FIGURES)
-
 
 class TestBitExactMerge:
     """jobs=N must be byte-identical to jobs=1 — the tentpole guarantee."""
@@ -112,12 +103,6 @@ class TestBitExactMerge:
     def test_checks_pass_both_ways(self, sequential, parallel):
         assert sequential.all_passed
         assert parallel.all_passed
-
-    def test_matches_classic_run_figure(self, parallel):
-        from repro.harness.figures import run_figure
-
-        for figure in parallel.figures:
-            assert figure.render() == run_figure(figure.figure_id).render()
 
     def test_merge_is_in_request_order(self):
         out = run_sweep(["table2", "table1"], jobs=1, cache_dir=None)
@@ -153,12 +138,27 @@ class TestSweepMechanics:
         assert all(t.events is not None for t in out.timings)
         assert "table2" in out.timings_table()
 
-    def test_inline_memo_skips_repeat_work(self):
-        specs = CELL_MODEL["table2"].cells()
-        first = execute_cells_inline(specs)
-        second = execute_cells_inline(specs)
-        for token, value in first.items():
-            assert second[token] is value  # memo returns the same object
+    def test_impair_axis_read_from_the_enumerate_signature(self):
+        assert {figure_id for figure_id, model in CELL_MODEL.items()
+                if model.takes_impair} == {"ext4", "ext5"}
+
+    def test_profiles_cover_the_cells_each_figure_executed(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        run_sweep(["table2"], jobs=1, cache_dir=cache_dir)
+        out = run_sweep(["table1", "table2", "ablation2"], jobs=1,
+                        cache_dir=cache_dir, collect_timings=True)
+        # table1 has no cells and table2's all came from the cache.
+        assert out.profiles["table1"]["events"] == 0
+        assert out.profiles["table2"]["events"] == 0
+        executed = [t for t in out.timings if t.figure_id == "ablation2"]
+        assert executed and not any(t.cached for t in executed)
+        profile = out.profiles["ablation2"]
+        assert profile["events"] == sum(t.events for t in executed) > 0
+        assert sum(profile["by_component"].values()) == profile["events"]
+
+    def test_no_profiles_without_timings(self):
+        out = run_sweep(["table2"], jobs=1, cache_dir=None)
+        assert out.profiles == {}
 
 
 class TestResultCache:
@@ -245,7 +245,9 @@ class TestCliSweep:
                          "--no-cache"]) == 2
         assert "no --impair axis" in capsys.readouterr().err
 
-    def test_profile_engine_keeps_sequential_path(self, capsys):
-        assert cli.main(["table2", "--profile-engine"]) == 0
+    def test_profile_engine_appends_profile(self, capsys):
+        assert cli.main(["table2", "--profile-engine", "--no-cache",
+                         "--jobs", "2"]) == 0
         out = capsys.readouterr().out
-        assert "s wall" in out
+        assert "engine profile:" in out
+        assert "VirtualCpu._complete_current" in out

@@ -67,9 +67,9 @@ def test_starlink_static_path_has_no_schedule_artifacts():
 
 
 def test_ext6_registered_with_schedule_capable_runners():
-    from repro.harness.figures import CELL_MODEL, FIGURES
+    from repro.harness.figures import CELL_MODEL
 
-    assert "ext6" in FIGURES
+    assert "ext6" in CELL_MODEL
     cells = CELL_MODEL["ext6"].cells()
     assert cells, "ext6 enumerates no cells"
     assert all(accepts(spec.runner, "schedule") for spec in cells)
@@ -102,9 +102,3 @@ def test_cli_schedule_rejects_bad_spec(capsys):
     assert cli.main(["ext6", "--schedule", "geo"]) == 2
     assert "unknown schedule kind" in capsys.readouterr().err
 
-
-def test_cli_schedule_incompatible_with_profile_engine(capsys):
-    assert cli.main(
-        ["ext6", "--profile-engine", "--schedule", "leo"]
-    ) == 2
-    assert "--schedule cannot be combined" in capsys.readouterr().err

@@ -33,8 +33,6 @@ def _tiny_assemble(results):
 def tiny_figure(monkeypatch):
     model = FigureCells(enumerate=_tiny_cells, assemble=_tiny_assemble)
     monkeypatch.setitem(figures.CELL_MODEL, "figtest", model)
-    monkeypatch.setitem(figures.FIGURES, "figtest",
-                        lambda **kwargs: _tiny_assemble({}))
 
 
 def test_sweep_collects_traces_in_spec_order(tiny_figure):
@@ -119,10 +117,17 @@ def test_figure_cli_trace_flag(tiny_figure, tmp_path, capsys):
     assert cells == sorted(cells, key=["tdf1", "tdf10"].index)
 
 
-def test_figure_cli_trace_rejects_profile_engine(tiny_figure, capsys):
-    rc = cli.main(["figtest", "--trace", "bottleneck", "--profile-engine"])
-    assert rc == 2
-    assert "--profile-engine" in capsys.readouterr().err
+def test_figure_cli_modes_compose_with_profile_engine(tiny_figure, tmp_path,
+                                                      capsys):
+    """``--profile-engine`` profiles the cells the modes rewrote."""
+    for flags in (["--trace", "bottleneck"], ["--fidelity", "hybrid"],
+                  ["--schedule", "leo"]):
+        rc = cli.main(["figtest", "--profile-engine", "--no-cache",
+                       "--jobs", "1", "--trace-dir", str(tmp_path), *flags])
+        assert rc == 0, flags
+        out = capsys.readouterr().out
+        assert out.count("engine profile:") == 1, flags
+        assert "Interface._deliver" in out, flags
 
 
 def test_figure_cli_trace_bad_spec(tiny_figure, capsys):

@@ -111,7 +111,8 @@ class TestShapedInterface:
         shaped.max_backlog_packets = 2
         for _ in range(10):
             a.send(Packet(src="a", dst="b", protocol="raw", size_bytes=1000))
-        assert shaped.dropped_packets == 7  # 1 in flight + 2 queued kept
+        # 1 in flight + 2 queued kept.
+        assert shaped.interface.drops.get("shaper", 0) == 7
         sim.run()
         assert len(sink.times) == 3
 
@@ -146,10 +147,10 @@ class TestShaperDropTaxonomy:
         sim, a, shaped, sink = self.build()
         for _ in range(10):
             a.send(Packet(src="a", dst="b", protocol="raw", size_bytes=1000))
-        # Legacy attribute still counts (1 in flight + 2 queued kept).
-        assert shaped.dropped_packets == 7
-        # ...and the same drops land in the wrapped interface's taxonomy
-        # under the "shaper" reason, mirrored into the engine counters.
+        # 1 in flight + 2 queued kept; the drops land in the wrapped
+        # interface's taxonomy under the "shaper" reason, mirrored into the
+        # engine counters.
+        assert shaped.interface.drops.get("shaper", 0) == 7
         assert shaped.interface.drops == {"shaper": 7}
         assert shaped.interface.total_drops == 7
         assert sim.counters["drop.shaper"] == 7
@@ -173,6 +174,6 @@ class TestShaperDropTaxonomy:
         sim, a, shaped, sink = self.build()
         a.send(Packet(src="a", dst="b", protocol="raw", size_bytes=1000))
         sim.run()
-        assert shaped.dropped_packets == 0
+        assert shaped.interface.drops.get("shaper", 0) == 0
         assert shaped.interface.drops == {}
         assert "drop.shaper" not in sim.counters

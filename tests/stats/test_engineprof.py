@@ -2,7 +2,7 @@
 
 from repro.simnet import engine
 from repro.simnet.engine import Simulator
-from repro.stats.engineprof import EngineProfiler, profiled
+from repro.stats.engineprof import EngineProfiler, merge, profiled, render
 
 
 def tick():
@@ -154,3 +154,50 @@ def test_realtime_counters_split_into_own_section():
     # The generic counter section excludes the realtime namespace.
     generic_start = rendered.index("  counters:")
     assert "realtime." not in rendered[generic_start:]
+
+
+def _profile_of(ticks, tocks, loss):
+    profiler = EngineProfiler()
+    sim = Simulator()
+    sim.attach_profiler(profiler)
+    sim.counters["drop.loss"] = loss
+    for i in range(ticks):
+        sim.schedule(float(i + 1), tick)
+    for i in range(tocks):
+        sim.schedule(float(i + 1), tock)
+    sim.run()
+    return profiler
+
+
+def test_merge_sums_counts_and_takes_peak_heap_max():
+    first, second = _profile_of(3, 1, 2), _profile_of(1, 4, 5)
+    a, b = first.snapshot(), second.snapshot()
+    merged = merge([a, b])
+    assert merged["events"] == 9
+    assert merged["simulators"] == 2
+    assert merged["wall_s"] == a["wall_s"] + b["wall_s"]
+    assert merged["max_heap_len"] == max(a["max_heap_len"],
+                                         b["max_heap_len"])
+    assert merged["counters"] == {"drop.loss": 7}
+    assert merged["by_component"] == {"tock": 5, "tick": 4}
+    assert list(merged["by_component"]) == ["tock", "tick"]
+
+
+def test_merge_of_one_renders_like_the_profiler():
+    profiler = _profile_of(2, 1, 1)
+    snap = profiler.snapshot()
+    timed = ("  wall time", "  events/sec")
+
+    def untimed(text):
+        return [line for line in text.splitlines()
+                if not line.startswith(timed)]
+
+    assert untimed(render(merge([snap]))) == untimed(render(snap))
+    assert untimed(profiler.render()) == untimed(render(snap))
+
+
+def test_merge_of_nothing_is_a_zero_profile():
+    merged = merge([])
+    assert merged["events"] == 0
+    assert merged["by_component"] == {}
+    assert "events executed" in render(merged)
