@@ -3,6 +3,8 @@
 import contextlib
 import io
 
+import pytest
+
 from repro.harness import cli
 from repro.harness.figures import CELL_MODEL, figure_ids
 from repro.harness.runner import run_sweep
@@ -15,6 +17,11 @@ def test_registry_covers_design_doc():
         "ext4", "ext5", "ext6",
     }
     assert set(figure_ids()) == expected
+
+
+def test_run_figure_unknown_id():
+    with pytest.raises(KeyError):
+        run_sweep(["fig99"], jobs=1, cache_dir=None)
 
 
 def test_table1_runs_and_passes():
@@ -59,6 +66,12 @@ def test_cli_runs_table1(capsys):
 def test_cli_impair_rejected_for_figures_without_the_axis(capsys):
     assert cli.main(["fig3", "--impair", "bernoulli:rate=0.01"]) == 2
     assert "no --impair axis" in capsys.readouterr().err
+
+
+def test_run_figure_impair_rejected_without_axis():
+    with pytest.raises(ValueError, match="no --impair axis"):
+        run_sweep(["table1"], jobs=1, impair="bernoulli:rate=0.01",
+                  cache_dir=None)
 
 
 def test_cli_csv_export(tmp_path, capsys):

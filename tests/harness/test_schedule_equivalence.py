@@ -102,3 +102,12 @@ def test_cli_schedule_rejects_bad_spec(capsys):
     assert cli.main(["ext6", "--schedule", "geo"]) == 2
     assert "unknown schedule kind" in capsys.readouterr().err
 
+
+def test_cli_schedule_incompatible_with_profile_engine(capsys):
+    """``--schedule`` composes with ``--profile-engine`` unsharded (see
+    test_trace_integration); sharded, the pair is still refused."""
+    assert cli.main(
+        ["ext6", "--profile-engine", "--schedule", "leo", "--shards", "2"]
+    ) == 2
+    assert "cannot be combined with --profile-engine" in \
+        capsys.readouterr().err

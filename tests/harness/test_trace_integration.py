@@ -130,6 +130,15 @@ def test_figure_cli_modes_compose_with_profile_engine(tiny_figure, tmp_path,
         assert "Interface._deliver" in out, flags
 
 
+def test_figure_cli_trace_rejects_profile_engine(tiny_figure, capsys):
+    """A traced, profiled run is still refused when it is sharded: the
+    ``--shards`` refusal fires whatever other mode rides along."""
+    rc = cli.main(["figtest", "--trace", "bottleneck", "--profile-engine",
+                   "--shards", "2"])
+    assert rc == 2
+    assert "--profile-engine" in capsys.readouterr().err
+
+
 def test_figure_cli_trace_bad_spec(tiny_figure, capsys):
     rc = cli.main(["figtest", "--trace", "holodeck"])
     assert rc == 2
